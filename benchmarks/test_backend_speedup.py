@@ -1,11 +1,11 @@
 """Backend speedup gate + the BENCH trajectory snapshot.
 
 Measures the pure reference loop against the bit-parallel backend on the
-standard Illumina profile (150 bp, 0.5 % error) and enforces the headline
-claim of the backend layer: **distance-only bitpar is at least 3x faster
-than pure**.  Traceback-mode numbers are recorded for the trajectory but
-not gated — the ``gmx.tb`` tile recomputation dominates that path and the
-bitvector engine only accelerates the distance sweep in front of it.
+standard Illumina profile (150 bp, 0.5 % error) and enforces the two
+claims of the backend layer: **distance-only bitpar is at least 3x faster
+than pure**, and **bitpar with traceback costs at most 5x bitpar
+distance-only** — the bit-parallel ``gmx.tb`` tile recomputation keeps
+traceback within a small factor of the fill it follows.
 
 The measured run also writes the repo's first performance trajectory
 snapshot, ``BENCH_backends.json``: per-backend wall/GCUPS, speedups, and
@@ -39,9 +39,10 @@ CONFIG = {
     "pairs": 40,
     "seed": 23,
     "tile_size": 8,
-    "repeats": 3,
+    "repeats": 5,
     "speedup_floor": 3.0,
-    "gated_on": "distance-only (traceback recorded, not gated)",
+    "traceback_ratio_ceiling": 5.0,
+    "gated_on": "distance-only speedup and bitpar traceback/distance ratio",
 }
 
 
@@ -108,6 +109,14 @@ def test_bitpar_speedup_and_snapshot():
         f"bitpar {distance['bitpar']['wall_seconds']:.3f}s)"
     )
 
+    tb_ratio = tb["bitpar"]["wall_seconds"] / distance["bitpar"]["wall_seconds"]
+    assert tb_ratio <= CONFIG["traceback_ratio_ceiling"], (
+        f"bitpar traceback costs {tb_ratio:.2f}x its distance-only run, "
+        f"above the {CONFIG['traceback_ratio_ceiling']}x ceiling "
+        f"(traceback {tb['bitpar']['wall_seconds']:.3f}s, "
+        f"distance {distance['bitpar']['wall_seconds']:.3f}s)"
+    )
+
     # -- the trajectory snapshot ----------------------------------------
     deltas = diff_profiles(profiles["pure"], profiles["bitpar"])
     snapshot = {
@@ -133,6 +142,7 @@ def test_bitpar_speedup_and_snapshot():
             }
             for backend, entry in tb.items()
         },
+        "bitpar_traceback_vs_distance": round(tb_ratio, 2),
         "diff_profiles": [
             {
                 "span": delta.name,
@@ -160,4 +170,7 @@ def test_bitpar_speedup_and_snapshot():
     assert on_disk["config"] == CONFIG
     assert on_disk["distance_only"]["bitpar"]["speedup_vs_pure"] >= (
         CONFIG["speedup_floor"]
+    )
+    assert on_disk["bitpar_traceback_vs_distance"] <= (
+        CONFIG["traceback_ratio_ceiling"]
     )

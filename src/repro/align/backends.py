@@ -21,10 +21,6 @@ images ``M[i][j] = (ΔV_out, ΔH_out)`` plus the bottom-row ΔH stream — from
     matrix is stored, so scores, CIGARs and :class:`KernelStats` are
     byte-identical to ``pure`` (block-equivalence of the Myers recurrence:
     both engines compute the unique Δ values of the same DP matrix).
-``numpy``
-    ``bitpar`` with the match-mask (Peq) table built through NumPy's
-    vectorised byte compare + ``packbits``; registered only when NumPy is
-    importable.
 
 Selection order (first match wins):
 
@@ -48,7 +44,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from ..core.bitvec import mask, unpack_deltas
+from ..core.bitvec import mask, pack_plus_minus, unpack_deltas
 from ..core.isa import GmxIsa
 from ..core.tile import advance_column, build_peq
 from .base import KernelStats
@@ -64,7 +60,6 @@ __all__ = [
     "FullMatrixRequest",
     "FullMatrixResult",
     "KernelBackend",
-    "NumpyTileBackend",
     "PureTileBackend",
     "backend_names",
     "backend_specs",
@@ -326,34 +321,57 @@ class PureTileBackend(KernelBackend):
 # bitpar: whole-pattern big-integer bitvectors.
 # ---------------------------------------------------------------------------
 
-#: Byte -> bit-doubled byte: bit k of the input moves to bit 2k (the even
-#: "plus" lane of the 2-bit Δ encoding).  Interleaving a (Pv, Mv) bitmask
-#: pair through this table is how bitpar materialises the packed Δ images
-#: the traceback and the ISA expect.
-_SPREAD8 = []
-for _byte in range(256):
-    _spread_value = 0
-    for _bit in range(8):
-        if _byte & (1 << _bit):
-            _spread_value |= 1 << (2 * _bit)
-    _SPREAD8.append(_spread_value)
-del _byte, _bit, _spread_value
 
+def _tile_column_edges(
+    pv: int,
+    mv: int,
+    phs: List[int],
+    mhs: List[int],
+    tiles: int,
+    last_rows: int,
+    tile: int,
+) -> List[Tuple[int, int]]:
+    """Packed ``(ΔV_out, ΔH_out)`` images of each tile row of one tile column.
 
-def _spread(value: int) -> int:
-    """Spread bit k of ``value`` to bit 2k (arbitrary width)."""
-    out = 0
-    shift = 0
-    while value:
-        out |= _SPREAD8[value & 0xFF] << shift
-        value >>= 8
-        shift += 16
-    return out
+    The bitvectors span a row segment that starts on a tile boundary and
+    holds ``tiles`` tile rows: T rows each, except the last, which has
+    ``last_rows``.  ``pv``/``mv`` are the ΔV masks after the tile column's
+    last text column; ``phs``/``mhs`` hold each text column's pre-shift Δh
+    masks (see :func:`~repro.core.tile.advance_column`).
 
-
-def _pack_pm(plus: int, minus: int) -> int:
-    """Interleave (P, M) bitmasks into a packed 2-bit Δ register image."""
-    return _spread(plus) | (_spread(minus) << 1)
+    Tile row k's ΔH_out taps bit ``k·T + T − 1`` of every column.  Shifting
+    column c's taps right by ``T − 1 − c`` lands them on bit ``k·T + c``,
+    so OR-ing the shifted taps of all columns builds every full tile row's
+    ΔH_out at once, in T-bit blocks; the last (maybe partial) tile row is
+    tapped on its own into the last block.
+    """
+    last_end = (tiles - 1) * tile + last_rows - 1
+    taps = int("1".ljust(tile, "0") * (tiles - 1) or "0", 2)
+    acc_p = acc_m = last_p = last_m = 0
+    for c, (ph, mh) in enumerate(zip(phs, mhs)):
+        shift = tile - 1 - c
+        acc_p |= (ph & taps) >> shift
+        acc_m |= (mh & taps) >> shift
+        last_p |= ((ph >> last_end) & 1) << c
+        last_m |= ((mh >> last_end) & 1) << c
+    # One interleave for both edges: ΔV blocks low, ΔH blocks above them.
+    dh_base = tiles * tile
+    last_base = dh_base + (tiles - 1) * tile
+    packed = pack_plus_minus(
+        pv | (acc_p << dh_base) | (last_p << last_base),
+        mv | (acc_m << dh_base) | (last_m << last_base),
+    )
+    dh_packed = packed >> (2 * dh_base)
+    dv_mask = mask(2 * tile)
+    dh_mask = mask(2 * len(phs))
+    stride = 2 * tile
+    return [
+        (
+            (packed >> (stride * k)) & dv_mask,
+            (dh_packed >> (stride * k)) & dh_mask,
+        )
+        for k in range(tiles)
+    ]
 
 
 class BitparTileBackend(KernelBackend):
@@ -372,60 +390,41 @@ class BitparTileBackend(KernelBackend):
     name = "bitpar"
     observes_isa = False
 
-    # -- match-mask table ---------------------------------------------------
-
-    def _whole_peq(self, pattern: str) -> Dict[str, int]:
-        """Per-character equality bitmask over the *whole* pattern."""
-        return build_peq(pattern)
-
     # -- full matrix --------------------------------------------------------
 
     def full_matrix(self, request: FullMatrixRequest) -> FullMatrixResult:
         tile = request.tile_size
         pattern = request.pattern
         n = len(pattern)
-        p_chunks = request.p_chunks
-        t_chunks = request.t_chunks
-        n_tiles = len(p_chunks)
-        m_tiles = len(t_chunks)
+        m_tiles = len(request.t_chunks)
         store = request.store_matrix
-        peq = self._whole_peq(pattern)
-        # Global row index of each tile row's bottom row (ΔH tap points).
-        row_ends = [min((i + 1) * tile, n) - 1 for i in range(n_tiles)]
-        rows_per = [len(chunk) for chunk in p_chunks]
+        peq = build_peq(pattern)
+        n_tiles = len(request.p_chunks)
+        last_rows = len(request.p_chunks[-1])
         pv = mask(n)  # left boundary: every ΔV is +1
         mv = 0
         matrix: Optional[List[List[Tuple[int, int]]]] = None
         if store:
             matrix = [[(0, 0)] * m_tiles for _ in range(n_tiles)]
         bottom_deltas: List[int] = []
-        tile_range = range(n_tiles)
-        for j, text_chunk in enumerate(t_chunks):
-            cols = len(text_chunk)
-            dh_images = [0] * n_tiles if store else None
-            for c, text_char in enumerate(text_chunk):
+        for j, text_chunk in enumerate(request.t_chunks):
+            phs: List[int] = []
+            mhs: List[int] = []
+            for text_char in text_chunk:
                 pv, mv, h_out, ph, mh = advance_column(
                     peq.get(text_char, 0), pv, mv, request.top_fill, n
                 )
                 bottom_deltas.append(h_out)
                 if store:
-                    plus_slot = 2 * c
-                    minus_slot = plus_slot + 1
-                    for i in tile_range:
-                        end = row_ends[i]
-                        dh_images[i] |= (
-                            ((ph >> end) & 1) << plus_slot
-                            | ((mh >> end) & 1) << minus_slot
-                        )
+                    phs.append(ph)
+                    mhs.append(mh)
             if store:
-                for i in tile_range:
-                    base = i * tile
-                    seg_mask = mask(rows_per[i])
-                    matrix[i][j] = (
-                        _pack_pm((pv >> base) & seg_mask, (mv >> base) & seg_mask),
-                        dh_images[i],
-                    )
-            self._account_full_column(request, n, n_tiles, cols)
+                edges = _tile_column_edges(
+                    pv, mv, phs, mhs, n_tiles, last_rows, tile
+                )
+                for i, edge in enumerate(edges):
+                    matrix[i][j] = edge
+            self._account_full_column(request, n, n_tiles, len(text_chunk))
         return FullMatrixResult(matrix=matrix, bottom_deltas=bottom_deltas)
 
     def _account_full_column(
@@ -458,11 +457,10 @@ class BitparTileBackend(KernelBackend):
         pattern = request.pattern
         n = len(pattern)
         p_chunks = request.p_chunks
-        t_chunks = request.t_chunks
         n_tiles = len(p_chunks)
         bt = request.tile_band
         store = request.store_matrix
-        peq = self._whole_peq(pattern)
+        peq = build_peq(pattern)
         # The +1 boundary and the +1 band fill coincide, and the band
         # interval of each tile row is contiguous, so initialising every
         # row to ΔV = +1 covers both the tj == 0 boundary and every later
@@ -472,7 +470,7 @@ class BitparTileBackend(KernelBackend):
         mv = 0
         matrix: Dict[Tuple[int, int], Tuple[int, int]] = {}
         bottoms: List[int] = []
-        for tj, text_chunk in enumerate(t_chunks):
+        for tj, text_chunk in enumerate(request.t_chunks):
             lo = max(0, tj - bt)
             hi = min(n_tiles - 1, tj + bt)
             lo_base = lo * tile
@@ -481,7 +479,8 @@ class BitparTileBackend(KernelBackend):
             span_mask = mask(span)
             seg_pv = (pv >> lo_base) & span_mask
             seg_mv = (mv >> lo_base) & span_mask
-            dh_images: Dict[int, int] = {}
+            phs: List[int] = []
+            mhs: List[int] = []
             bottom_image = 0
             for c, text_char in enumerate(text_chunk):
                 peq_char = (peq.get(text_char, 0) >> lo_base) & span_mask
@@ -494,25 +493,17 @@ class BitparTileBackend(KernelBackend):
                 elif h_out < 0:
                     bottom_image |= 1 << (2 * c + 1)
                 if store:
-                    plus_slot = 2 * c
-                    minus_slot = plus_slot + 1
-                    for ti in range(lo, hi + 1):
-                        end = min((ti + 1) * tile, n) - 1 - lo_base
-                        dh_images[ti] = dh_images.get(ti, 0) | (
-                            ((ph >> end) & 1) << plus_slot
-                            | ((mh >> end) & 1) << minus_slot
-                        )
+                    phs.append(ph)
+                    mhs.append(mh)
             keep = ~(span_mask << lo_base)
             pv = (pv & keep) | (seg_pv << lo_base)
             mv = (mv & keep) | (seg_mv << lo_base)
             if store:
-                for ti in range(lo, hi + 1):
-                    base = ti * tile
-                    seg_mask = mask(len(p_chunks[ti]))
-                    matrix[(ti, tj)] = (
-                        _pack_pm((pv >> base) & seg_mask, (mv >> base) & seg_mask),
-                        dh_images[ti],
-                    )
+                edges = _tile_column_edges(
+                    seg_pv, seg_mv, phs, mhs, hi - lo + 1, len(p_chunks[hi]), tile
+                )
+                for ti, edge in enumerate(edges, start=lo):
+                    matrix[(ti, tj)] = edge
             bottoms.append(bottom_image)
             self._account_banded_column(request, span, hi - lo + 1, len(text_chunk))
         return BandedMatrixResult(matrix=matrix, bottoms=bottoms)
@@ -536,47 +527,6 @@ class BitparTileBackend(KernelBackend):
             stats.dp_bytes_written += 2 * edge_bytes * tiles
         stats.dp_cells += rows * cols
         stats.tiles += tiles
-
-
-class NumpyTileBackend(BitparTileBackend):
-    """``bitpar`` with a NumPy-vectorised match-mask (Peq) build.
-
-    The column step itself stays in big-int land (Python integers beat
-    ndarray bit-slicing for single carry-propagating adds); NumPy only
-    accelerates the one O(n · alphabet) scan, via a vectorised byte
-    compare + ``packbits``.  Registered only when NumPy is importable.
-    """
-
-    name = "numpy"
-    observes_isa = False
-
-    def __init__(self) -> None:
-        if not _numpy_available():
-            raise BackendError(
-                "the 'numpy' backend requires NumPy, which is not installed"
-            )
-
-    def _whole_peq(self, pattern: str) -> Dict[str, int]:
-        import numpy as np
-
-        try:
-            raw = pattern.encode("ascii")
-        except UnicodeEncodeError:
-            return build_peq(pattern)  # exotic alphabets: scalar fallback
-        codes = np.frombuffer(raw, dtype=np.uint8)
-        peq: Dict[str, int] = {}
-        for char in dict.fromkeys(pattern):
-            bits = np.packbits(codes == ord(char), bitorder="little")
-            peq[char] = int.from_bytes(bits.tobytes(), "little")
-        return peq
-
-
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -716,10 +666,4 @@ register_backend(
     "bitpar",
     BitparTileBackend,
     description="whole-pattern big-integer Myers/Hyyrö bitvectors",
-)
-register_backend(
-    "numpy",
-    NumpyTileBackend,
-    description="bitpar with a NumPy-vectorised match-mask build",
-    requires=_numpy_available,
 )

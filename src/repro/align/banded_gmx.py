@@ -23,8 +23,6 @@ from ..core.cigar import (
     Alignment,
     OP_DELETION,
     OP_INSERTION,
-    OP_MATCH,
-    OP_MISMATCH,
     edit_cost,
 )
 from ..core.isa import GmxIsa, encode_pos
@@ -276,15 +274,9 @@ class BandedGmxAligner(Aligner):
             stats.add_instr("load", 2)
             stats.add_instr("int_alu", 6)
             stats.add_instr("branch", 2)
-            for op in result.ops:
-                reversed_ops.append(op)
-                if op in (OP_MATCH, OP_MISMATCH):
-                    gi -= 1
-                    gj -= 1
-                elif op == OP_DELETION:
-                    gi -= 1
-                else:
-                    gj -= 1
+            reversed_ops.extend(result.ops)
+            gi -= result.rows_walked
+            gj -= result.cols_walked
             # Algorithm 2 dumps the raw encoded alignment: two stores of
             # gmx_hi/gmx_lo per tile (the ops stay 2-bit encoded in memory).
             stats.add_instr("store", 2)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple, Union
 
 from ..core.bitvec import pack_deltas
-from ..core.cigar import Alignment, OP_DELETION, OP_INSERTION, OP_MATCH, OP_MISMATCH
+from ..core.cigar import Alignment, OP_DELETION, OP_INSERTION
 from ..core.isa import GmxIsa, encode_pos
 from ..core.tile import DEFAULT_TILE_SIZE
 from ..core.traceback import NextTile
@@ -265,15 +265,9 @@ class FullGmxAligner(Aligner):
             stats.add_instr("load", 2)
             stats.add_instr("int_alu", 6)
             stats.add_instr("branch", 2)
-            for op in result.ops:
-                reversed_ops.append(op)
-                if op in (OP_MATCH, OP_MISMATCH):
-                    gi -= 1
-                    gj -= 1
-                elif op == OP_DELETION:
-                    gi -= 1
-                else:
-                    gj -= 1
+            reversed_ops.extend(result.ops)
+            gi -= result.rows_walked
+            gj -= result.cols_walked
             # Algorithm 2 dumps the raw encoded alignment: two stores of
             # gmx_hi/gmx_lo per tile (the ops stay 2-bit encoded in memory).
             stats.add_instr("store", 2)

@@ -77,6 +77,41 @@ def unpack_deltas(register: int, count: int) -> List[int]:
     return deltas
 
 
+def pack_plus_minus(plus: int, minus: int) -> int:
+    """Interleave (P, M) bitmasks into a packed 2-bit Δ register image.
+
+    Bit ``i`` of ``plus`` lands on bit ``2i`` and bit ``i`` of ``minus`` on
+    bit ``2i+1`` — the bitmask-level twin of :func:`pack_deltas`.  The
+    spread is done on the binary string (a ``0`` between every digit moves
+    bit ``k`` to bit ``2k``), which keeps the work in C.
+    """
+    spread_plus = int("0".join(format(plus, "b")), 2)
+    spread_minus = int("0".join(format(minus, "b")), 2)
+    return spread_plus | (spread_minus << 1)
+
+
+def unpack_plus_minus(register: int, count: int) -> tuple[int, int]:
+    """Split ``count`` packed Δ fields straight into (P, M) bitmasks.
+
+    The bitmask-level twin of :func:`unpack_deltas`: bit ``i`` of P / M is
+    set iff field ``i`` holds +1 / −1.  Fields above ``count`` are ignored.
+
+    Raises:
+        DeltaEncodingError: if any of the ``count`` fields holds 0b11.
+    """
+    if count <= 0:
+        return 0, 0
+    # Fixed-width digits behind a sentinel bit: digit 2k (from the right)
+    # is field k's plus bit, digit 2k+1 its minus bit.
+    digits = bin((register & mask(2 * count)) | (1 << (2 * count)))[3:]
+    plus = int(digits[1::2], 2)
+    minus = int(digits[0::2], 2)
+    if plus & minus:
+        field = (plus & minus).bit_length() - 1
+        raise DeltaEncodingError(f"illegal Δ bit pattern (1, 1) in field {field}")
+    return plus, minus
+
+
 def split_plus_minus(deltas: Sequence[int]) -> tuple[int, int]:
     """Split Δ values into (P, M) bitmasks: P bit i set iff Δ==+1, M iff Δ==-1.
 

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import runtime as obs
-from .bitvec import pack_deltas, unpack_deltas
+from .bitvec import pack_deltas, unpack_deltas, unpack_plus_minus
 from .tile import DEFAULT_TILE_SIZE, build_peq, compute_tile
-from .traceback import TileTraceback, pack_tile_ops, traceback_tile
+from .traceback import TileTraceback, pack_tile_ops, traceback_tile_masks
 
 #: CSR names, as in the paper.
 CSR_NAMES = ("gmx_pattern", "gmx_text", "gmx_pos", "gmx_lo", "gmx_hi")
@@ -182,10 +182,14 @@ class GmxIsa:
             return self.fault_hook
         return _AMBIENT_FAULT_HOOK
 
-    def _retire(self, event: IsaEvent) -> None:
-        """Append an event to the retired stream (when tracing is on)."""
+    def _retire(self, op: str, **fields) -> None:
+        """Append an event to the retired stream (when tracing is on).
+
+        The event is only built while a trace is being recorded: the
+        untraced instruction path never pays for it.
+        """
         if self.trace is not None:
-            self.trace.append(event)
+            self.trace.append(IsaEvent(op, **fields))
 
     # -- CSR access ---------------------------------------------------------
 
@@ -205,7 +209,7 @@ class GmxIsa:
             value = hook.on_csr_write(csr, value)
         setattr(self, csr, value)
         self.retired["csrw"] += 1
-        self._retire(IsaEvent("csrw", csr=csr, value=value))
+        self._retire("csrw", csr=csr, value=value)
 
     def csrr(self, csr: str):
         """Read an architectural state register (one retired instruction)."""
@@ -213,16 +217,20 @@ class GmxIsa:
             raise IsaError(f"unknown GMX CSR {csr!r}")
         self.retired["csrr"] += 1
         value = getattr(self, csr)
-        self._retire(IsaEvent("csrr", csr=csr, value=value))
+        self._retire("csrr", csr=csr, value=value)
         return value
 
     # -- tile computation instructions ---------------------------------------
 
-    def _tile_inputs(self, rs1: int, rs2: int):
+    def _tile_chunks(self) -> Tuple[str, str]:
         pattern = self.gmx_pattern
         text = self.gmx_text
         if not pattern or not text:
             raise IsaError("gmx_pattern/gmx_text must be written before gmx.{v,h,tb}")
+        return pattern, text
+
+    def _tile_inputs(self, rs1: int, rs2: int):
+        pattern, text = self._tile_chunks()
         dv_in = unpack_deltas(rs1, len(pattern))
         dh_in = unpack_deltas(rs2, len(text))
         return pattern, text, dv_in, dh_in
@@ -248,7 +256,7 @@ class GmxIsa:
         hook = self._active_fault_hook()
         if hook is not None:
             dv_out = hook.on_tile_output("gmx.v", dv_out, self.tile_size)
-        self._retire(IsaEvent("gmx.v", rs1=rs1, rs2=rs2, out=(dv_out,)))
+        self._retire("gmx.v", rs1=rs1, rs2=rs2, out=(dv_out,))
         return dv_out
 
     def gmx_h(self, rs1: int, rs2: int) -> int:
@@ -263,7 +271,7 @@ class GmxIsa:
         hook = self._active_fault_hook()
         if hook is not None:
             dh_out = hook.on_tile_output("gmx.h", dh_out, self.tile_size)
-        self._retire(IsaEvent("gmx.h", rs1=rs1, rs2=rs2, out=(dh_out,)))
+        self._retire("gmx.h", rs1=rs1, rs2=rs2, out=(dh_out,))
         return dh_out
 
     def gmx_vh(self, rs1: int, rs2: int) -> Tuple[int, int]:
@@ -284,7 +292,7 @@ class GmxIsa:
         if hook is not None:
             dv_out = hook.on_tile_output("gmx.vh", dv_out, self.tile_size)
             dh_out = hook.on_tile_output("gmx.vh", dh_out, self.tile_size)
-        self._retire(IsaEvent("gmx.vh", rs1=rs1, rs2=rs2, out=(dv_out, dh_out)))
+        self._retire("gmx.vh", rs1=rs1, rs2=rs2, out=(dv_out, dh_out))
         return dv_out, dh_out
 
     # -- traceback instruction -----------------------------------------------
@@ -299,11 +307,14 @@ class GmxIsa:
         Returns the decoded :class:`TileTraceback` for convenience — the
         information content is identical to the CSR state.
         """
-        pattern, text, dv_in, dh_in = self._tile_inputs(rs1, rs2)
+        pattern, text = self._tile_chunks()
+        pv, mv = unpack_plus_minus(rs1, len(pattern))
+        ph, mh = unpack_plus_minus(rs2, len(text))
         row, col = decode_pos(self.gmx_pos, self.tile_size)
         row, col = clamp_pos(row, col, len(pattern), len(text))
-        result = traceback_tile(
-            pattern, text, dv_in, dh_in, (row, col), tile_size=self.tile_size
+        result = traceback_tile_masks(
+            pattern, text, pv, mv, ph, mh, (row, col),
+            tile_size=self.tile_size, peq=self._peq(pattern),
         )
         self.gmx_lo, self.gmx_hi = pack_tile_ops(
             result.ops, (row, col), result.next_tile, tile_size=self.tile_size
@@ -312,12 +323,10 @@ class GmxIsa:
         self.gmx_pos = encode_pos(next_row, next_col, self.tile_size)
         self.retired["gmx.tb"] += 1
         self._retire(
-            IsaEvent(
-                "gmx.tb",
-                rs1=rs1,
-                rs2=rs2,
-                out=(self.gmx_lo, self.gmx_hi, self.gmx_pos),
-            )
+            "gmx.tb",
+            rs1=rs1,
+            rs2=rs2,
+            out=(self.gmx_lo, self.gmx_hi, self.gmx_pos),
         )
         return result
 

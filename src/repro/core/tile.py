@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from .bitvec import mask, merge_plus_minus, split_plus_minus
+from .bitvec import merge_plus_minus, split_plus_minus
 from .delta import gmx_delta
 
 #: Default hardware tile size: 32 two-bit Δ values fill a 64-bit register.
@@ -189,12 +189,12 @@ def advance_column(
         masks (bit i set iff Δh[i] of this column is +1 / −1), which the
         traceback recomputation consumes.
     """
-    row_mask = mask(rows)
+    row_mask = (1 << rows) - 1
     eq = peq_char & row_mask
     xv = eq | mv
     if h_in < 0:
         eq |= 1
-    xh = ((((eq & pv) + pv) & mask(rows + 1)) ^ pv) | eq
+    xh = ((((eq & pv) + pv) & ((row_mask << 1) | 1)) ^ pv) | eq
     ph = (mv | ~(xh | pv)) & row_mask
     mh = (pv & xh) & row_mask
     top_bit = 1 << (rows - 1)

@@ -4,7 +4,9 @@ Because GMX only stores the DP elements at tile edges, the traceback unit
 recomputes the tile interior from the stored edge vectors (exactly what the
 GMX-TB hardware does) and then walks the alignment path backwards from a
 start position on the tile's bottom or right edge until it leaves the tile
-through the top or left edge.
+through the top or left edge.  The recomputation is bit-parallel — one
+column step per text column, not one scalar GMXΔ per cell — so
+traceback runs at the speed of the fill kernel on every backend.
 
 The walk at a cell (i, j) applies the CC_TB priority rule (Figure 8):
 
@@ -26,10 +28,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from .bitvec import split_plus_minus
 from .cigar import CODE_TO_OP, OP_TO_CODE, OP_DELETION, OP_INSERTION, OP_MATCH, OP_MISMATCH
-from .tile import DEFAULT_TILE_SIZE, TileInterior, compute_tile_interior
+from .tile import (
+    DEFAULT_TILE_SIZE,
+    TileInterior,
+    _check_inputs,
+    advance_column,
+    build_peq,
+)
 
 
 class NextTile(enum.Enum):
@@ -63,6 +72,16 @@ class TileTraceback:
     next_tile: NextTile
     next_pos: Tuple[int, int]
 
+    @property
+    def rows_walked(self) -> int:
+        """Pattern rows the walk consumed (every op but an insertion)."""
+        return len(self.ops) - self.ops.count(OP_INSERTION)
+
+    @property
+    def cols_walked(self) -> int:
+        """Text columns the walk consumed (every op but a deletion)."""
+        return len(self.ops) - self.ops.count(OP_DELETION)
+
 
 def walk_tile(
     pattern: str,
@@ -71,6 +90,10 @@ def walk_tile(
     start: Tuple[int, int],
 ) -> Tuple[List[str], int, int]:
     """Walk the alignment path backwards through a recomputed tile interior.
+
+    Together with :func:`~repro.core.tile.compute_tile_interior` this is
+    the cell-by-cell reference for :func:`traceback_tile_masks`, the way
+    ``compute_tile_reference`` is for ``gmx.v``/``gmx.h``.
 
     Args:
         start: (row, col) cell where the path enters the tile; must lie on
@@ -118,21 +141,91 @@ def traceback_tile(
 
     Recomputes the tile interior from its input edge vectors, walks the path
     from ``start``, and classifies the exit into a :class:`NextTile`
-    direction plus the entry cell of the neighbouring tile.
+    direction plus the entry cell of the neighbouring tile.  The Δ-list
+    front end of :func:`traceback_tile_masks`.
     """
-    interior = compute_tile_interior(
-        pattern, text, dv_in, dh_in, tile_size=tile_size
+    _check_inputs(pattern, text, dv_in, dh_in, tile_size)
+    pv, mv = split_plus_minus(dv_in)
+    ph, mh = split_plus_minus(dh_in)
+    return traceback_tile_masks(
+        pattern, text, pv, mv, ph, mh, start, tile_size=tile_size
     )
-    ops, exit_row, exit_col = walk_tile(pattern, text, interior, start)
-    if exit_row < 0 and exit_col < 0:
+
+
+def traceback_tile_masks(
+    pattern: str,
+    text: str,
+    pv: int,
+    mv: int,
+    ph: int,
+    mh: int,
+    start: Tuple[int, int],
+    *,
+    tile_size: int = DEFAULT_TILE_SIZE,
+    peq: Optional[Dict[str, int]] = None,
+) -> TileTraceback:
+    """``gmx.tb`` on (P, M) bitmask edges, recomputing bit-parallel.
+
+    ``pv``/``mv`` hold the left-edge ΔV (bit i set iff Δv[i] is +1 / −1),
+    ``ph``/``mh`` the top-edge ΔH (bit j per column).  Instead of the T²
+    scalar cells of :func:`~repro.core.tile.compute_tile_interior` (kept
+    as the reference), the interior is rebuilt with one
+    :func:`~repro.core.tile.advance_column` step per column, and only
+    over what the walk can reach: columns ``0..start_col`` and rows
+    ``0..start_row`` (a cell depends only on cells above and to its
+    left).  Each column keeps its Δv=+1 mask (the new ``pv``) and Δh=+1
+    mask (the pre-shift ``ph``); the CC_TB priority rule reads bits of
+    those.
+
+    Args:
+        peq: optional equality masks for ``pattern`` (see
+            :func:`~repro.core.tile.build_peq`).
+    """
+    i, j = start
+    if not (0 <= i < len(pattern) and 0 <= j < len(text)):
+        raise ValueError(
+            f"start cell {start!r} outside tile {len(pattern)}x{len(text)}"
+        )
+    if peq is None:
+        peq = build_peq(pattern)
+    height = i + 1
+    rows_mask = (1 << height) - 1
+    pv &= rows_mask
+    mv &= rows_mask
+    dv_plus: List[int] = []
+    dh_plus: List[int] = []
+    for c in range(j + 1):
+        h_in = ((ph >> c) & 1) - ((mh >> c) & 1)
+        pv, mv, _, col_ph, _ = advance_column(
+            peq.get(text[c], 0), pv, mv, h_in, height
+        )
+        dv_plus.append(pv)
+        dh_plus.append(col_ph)
+    ops: List[str] = []
+    while i >= 0 and j >= 0:
+        if pattern[i] == text[j]:
+            ops.append(OP_MATCH)
+            i -= 1
+            j -= 1
+        elif (dv_plus[j] >> i) & 1:
+            ops.append(OP_DELETION)
+            i -= 1
+        elif (dh_plus[j] >> i) & 1:
+            ops.append(OP_INSERTION)
+            j -= 1
+        else:
+            ops.append(OP_MISMATCH)
+            i -= 1
+            j -= 1
+    if i < 0 and j < 0:
         next_tile = NextTile.DIAGONAL
         next_pos = (tile_size - 1, tile_size - 1)
-    elif exit_row < 0:
+    elif i < 0:
         next_tile = NextTile.UP
-        next_pos = (tile_size - 1, exit_col)
+        next_pos = (tile_size - 1, j)
     else:
         next_tile = NextTile.LEFT
-        next_pos = (exit_row, tile_size - 1)
+        next_pos = (i, tile_size - 1)
     return TileTraceback(ops=tuple(ops), next_tile=next_tile, next_pos=next_pos)
 
 

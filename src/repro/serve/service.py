@@ -29,8 +29,9 @@ Results are **byte-identical to serial** :func:`~repro.align.batch.align_batch`
 — whether they came from a cold compute, a coalesced shard, the cache, or
 the crash-recovery path.  Observability (:mod:`repro.obs`) is armed at
 startup; worker span/metric buffers are absorbed on every shard
-completion, so pooled request traces survive into ``/metrics`` and trace
-exports.
+completion, so pooled request metrics survive into ``/metrics`` and, under
+an outer ``obs.capture()``, request traces into trace exports.  When the
+service arms obs itself it keeps metrics only, never spans.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from ..align.parallel import (
     _pickling_failure,
 )
 from ..obs import runtime as obs
+from ..obs.tracing import SpanRecorder
 from .cache import (
     AlignmentCache,
     CachedAlignment,
@@ -274,7 +276,10 @@ class AlignmentService:
         if self._started:
             return self
         if not obs.enabled():
-            obs.enable()
+            # Self-armed obs feeds /metrics only: a service runs for hours,
+            # and nothing ever reads its spans, so none are kept.  An
+            # outer obs.capture() (a traced run) still records every span.
+            obs.enable(SpanRecorder(retain=False))
             self._owns_obs = True
         self.pool.start()  # pay pool spin-up once, here, not per request
         self.coalescer.start()

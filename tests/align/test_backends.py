@@ -100,6 +100,12 @@ class TestSelection:
         with pytest.raises(BackendError, match="pure"):
             get_backend("warp-drive")
 
+    def test_removed_numpy_backend_errors_with_roster(self, monkeypatch):
+        # ``numpy`` only rebuilt bitpar's Peq table and measured slower.
+        monkeypatch.setenv(BACKEND_ENV, "numpy")
+        with pytest.raises(BackendError, match=r"registered: pure, bitpar\)"):
+            get_backend(None)
+
     def test_instance_passes_through(self):
         backend = BitparTileBackend()
         assert get_backend(backend) is backend

@@ -10,7 +10,7 @@ message prints everything needed to replay it: pattern, text, kernel,
 backend, and case seed.
 
 Backend-capable kernels (the GMX aligners) run the whole sweep once per
-registered kernel backend (pure loop, bit-parallel, numpy when present);
+registered kernel backend (pure loop, bit-parallel);
 the per-case seed depends only on the kernel name, so every backend sees
 byte-identical inputs and the sweep doubles as a cross-backend
 differential check against the oracle.

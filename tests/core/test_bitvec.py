@@ -11,10 +11,12 @@ from repro.core.bitvec import (
     mask,
     merge_plus_minus,
     pack_deltas,
+    pack_plus_minus,
     popcount,
     set_bit,
     split_plus_minus,
     unpack_deltas,
+    unpack_plus_minus,
 )
 from repro.core.delta import DeltaEncodingError
 
@@ -91,3 +93,17 @@ class TestPlusMinusMasks:
     def test_split_rejects_bad_value(self):
         with pytest.raises(DeltaEncodingError):
             split_plus_minus([2])
+
+    @given(deltas_strategy)
+    def test_register_image_twins_match_list_codecs(self, deltas):
+        """pack/unpack_plus_minus agree with pack/unpack_deltas."""
+        plus, minus = split_plus_minus(deltas)
+        image = pack_deltas(deltas)
+        assert pack_plus_minus(plus, minus) == image
+        # Fields above ``count`` are ignored, even illegal ones.
+        garbage = 0b11 << (2 * len(deltas))
+        assert unpack_plus_minus(image | garbage, len(deltas)) == (plus, minus)
+
+    def test_unpack_plus_minus_rejects_illegal_field(self):
+        with pytest.raises(DeltaEncodingError):
+            unpack_plus_minus(0b01_11_00, 3)

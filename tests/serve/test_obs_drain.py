@@ -83,3 +83,19 @@ def test_service_owns_obs_when_none_active():
     assert obs.enabled()
     service.close()
     assert not obs.enabled()
+
+
+@needs_processes
+def test_self_armed_service_retains_no_spans():
+    """A service that armed obs itself keeps metrics but no span buffer."""
+    assert not obs.enabled()
+    workload = _workload(count=20, seed=71)
+    config = ServeConfig(workers=2, coalesce_max_pairs=4, cache_size=0)
+    with AlignmentService(FullGmxAligner(), config=config) as service:
+        service.align_pairs(workload[:4])
+        after_small = len(obs.recorder())
+        service.align_pairs(workload[4:])
+        assert len(obs.recorder()) == after_small == 0
+        counters = obs.metrics().snapshot().to_dict()["counters"]
+        assert counters.get("serve.pairs", 0) == 20
+        assert counters.get("batch.shards", 0) >= 2

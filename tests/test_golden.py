@@ -46,8 +46,7 @@ def test_experiment_all_golden(golden):
     snapshot pins the key set and the deterministic lint/resilience/
     observability blocks rather than the figures themselves.  The backends
     stamp is pinned through its host-independent fields only — which
-    backends exist and that the differential verdict holds — because
-    availability (numpy) varies with the host.
+    backends exist and that the differential verdict holds.
     """
     from repro.eval.export import run_all
 
