@@ -19,7 +19,6 @@ from .backends import (
 from .banded_gmx import BandExceededError, BandedGmxAligner
 from .batch import BatchResult, align_batch
 from .chunked import (
-    align_chunked,
     canonical_cigar,
     canonicalize_ops,
     ops_to_runs,
@@ -32,6 +31,7 @@ from .parallel import (
     BatchTelemetry,
     PoolError,
     ShardTelemetry,
+    WorkerLost,
     WorkerPool,
     align_batch_sharded,
     iter_shards,
@@ -55,12 +55,12 @@ __all__ = [
     "PoolError",
     "ResilienceCounters",
     "ShardTelemetry",
+    "WorkerLost",
     "WorkerPool",
     "WindowedAligner",
     "WindowedGmxAligner",
     "align_batch",
     "align_batch_sharded",
-    "align_chunked",
     "align_pair",
     "backend_names",
     "canonical_cigar",

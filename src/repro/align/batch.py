@@ -18,12 +18,9 @@ Example::
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
 
-from ..analysis.sanitizer import runtime as dsan
-from ..obs import runtime as obs
 from .base import Aligner, AlignmentResult, KernelStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel → batch)
@@ -145,11 +142,12 @@ def align_batch(
         traceback: compute full alignments (vs distance only).
         validate: additionally replay every alignment against its sequences
             (raises on any inconsistency — a thorough self-check mode).
-        workers: worker processes.  ``1`` (default) aligns serially in
-            process; ``>1`` fans shards out through
-            :func:`repro.align.parallel.align_batch_sharded`, producing
-            byte-identical results, stats, and ordering.
-        shard_size: pairs per shard when ``workers > 1``.
+        workers: worker processes.  Every batch runs through
+            :func:`repro.align.parallel.align_batch_sharded`: ``1``
+            (default) aligns the shards serially in process, ``>1`` fans
+            them out over a pool, with byte-identical results, stats, and
+            ordering.
+        shard_size: pairs per shard.
         backend: kernel backend override (name or
             :class:`~repro.align.backends.KernelBackend`); rebinds the
             aligner via :meth:`~repro.align.base.Aligner.with_backend`
@@ -163,45 +161,10 @@ def align_batch(
     """
     if backend is not None:
         aligner = aligner.with_backend(backend)
-    if workers != 1 or shard_size is not None:
-        from .parallel import align_batch_sharded
+    from .parallel import align_batch_sharded
 
-        return align_batch_sharded(
-            aligner, pairs,
-            workers=workers, shard_size=shard_size,
-            traceback=traceback, validate=validate,
-        )
-    from .parallel import BatchTelemetry, ShardTelemetry
-
-    batch = BatchResult()
-    start = time.perf_counter()
-    token = dsan.batch_begin()
-    try:
-        with obs.span("batch.align", workers=1):
-            for item in pairs:
-                pattern, text = _as_pair(item)
-                result = aligner.align(pattern, text, traceback=traceback)
-                if validate and result.alignment is not None:
-                    result.alignment.validate()
-                batch.results.append(result)
-                batch.stats.merge(result.stats)
-    finally:
-        dsan.batch_end(token, "align_batch")
-    obs.inc("batch.runs")
-    obs.inc("batch.pairs", batch.pairs)
-    wall = time.perf_counter() - start
-    telemetry = BatchTelemetry(
-        workers=1,
-        shard_size=max(1, batch.pairs),
-        backend=getattr(getattr(aligner, "backend", None), "name", None),
+    return align_batch_sharded(
+        aligner, pairs,
+        workers=workers, shard_size=shard_size,
+        traceback=traceback, validate=validate,
     )
-    if batch.pairs:
-        telemetry.shards.append(
-            ShardTelemetry(
-                index=0, pairs=batch.pairs, wall_seconds=wall,
-                worker="inline",
-            )
-        )
-    telemetry.wall_seconds = wall
-    batch.telemetry = telemetry
-    return batch

@@ -21,10 +21,6 @@ Two pieces of real algebra live here:
   same pair and cost compare equal byte-for-byte.  The stream conformance
   harness canonicalises both the stitched alignment and the Hirschberg
   oracle before demanding identity.
-
-Also exported: :func:`align_chunked`, the chunk-aware entry point that
-forwards to :func:`repro.stream.stream_align` (import kept lazy — the
-stream package builds on top of ``align``).
 """
 
 from __future__ import annotations
@@ -258,20 +254,3 @@ def canonical_cigar(pattern: str, text: str, ops: Sequence[str]) -> str:
     """CIGAR of :func:`canonicalize_ops` (convenience for comparisons)."""
     return runs_to_cigar(ops_to_runs(canonicalize_ops(pattern, text, ops)))
 
-
-def align_chunked(
-    reference,
-    query: str,
-    **kwargs,
-):
-    """Chunk-aware alignment entry point (forwards to ``repro.stream``).
-
-    ``reference`` may be a string or an iterable of blocks (e.g. from
-    :func:`repro.workloads.seqio.iter_fasta_blocks`); all keyword
-    arguments of :func:`repro.stream.stream_align` are accepted.  Lives
-    here so ``repro.align`` exposes the full aligner surface; the heavy
-    lifting is in :mod:`repro.stream`.
-    """
-    from ..stream import stream_align
-
-    return stream_align(reference, query, **kwargs)

@@ -30,6 +30,7 @@ modelled cycle counts, which remain the source of all reported figures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import pickle
@@ -263,15 +264,48 @@ class PoolError(RuntimeError):
     """Raised on :class:`WorkerPool` lifecycle misuse (e.g. use after close)."""
 
 
+class WorkerLost(PoolError):
+    """A submitted task's reply can never come: its worker died, or its
+    pool was rebuilt or closed, before the task replied."""
+
+
+#: Seconds between liveness checks while :meth:`WorkerPool.wait` blocks.
+_LOSS_POLL_SECONDS = 0.05
+
+
+class _PoolHandle:
+    """A process-mode task handle: the pool's ``AsyncResult`` plus the pool
+    generation and worker pids at submit time — the evidence
+    :meth:`WorkerPool.wait` checks to tell a lost task from a slow one."""
+
+    __slots__ = ("_result", "generation", "pids")
+
+    def __init__(self, result, generation: int, pids: List[int]) -> None:
+        self._result = result
+        self.generation = generation
+        self.pids = frozenset(pids)
+
+    def get(self, timeout: Optional[float] = None):
+        return self._result.get(timeout)
+
+    def ready(self) -> bool:
+        return self._result.ready()
+
+    def wait(self, timeout: Optional[float] = None) -> None:
+        self._result.wait(timeout)
+
+
 class _InlineHandle:
     """Completed-on-construction stand-in for a pool ``AsyncResult``.
 
     Inline pools execute the work in the submitting thread; the handle
     then answers ``get``/``ready`` with the stored outcome, so callers
-    drive both executors through one interface.
+    drive both executors through one interface.  Inline pools never
+    rebuild, so every inline handle sits in generation 0.
     """
 
     __slots__ = ("_value", "_error")
+    generation = 0
 
     def __init__(self, fn: Callable, payload) -> None:
         self._value = None
@@ -303,6 +337,28 @@ def _pool_worker_init() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+@functools.lru_cache(maxsize=None)
+def _pool_class():
+    """``multiprocessing.Pool`` whose ``terminate()`` survives a worker
+    killed while idle (built lazily: ``import repro`` stays free of
+    multiprocessing)."""
+    from multiprocessing.pool import Pool
+
+    class _Pool(Pool):
+        @staticmethod
+        def _help_stuff_finish(inqueue, task_handler, size):
+            # An idle worker waits for its next task holding the task
+            # queue's read lock.  One SIGKILLed there never releases it:
+            # the stock version then waits forever, while no worker can
+            # read past the orphaned lock, so draining without it is safe.
+            inqueue._rlock.acquire(timeout=1.0)
+            while task_handler.is_alive() and inqueue._reader.poll():
+                inqueue._reader.recv()
+                time.sleep(0)
+
+    return _Pool
+
+
 class WorkerPool:
     """A reusable worker-pool handle: create once, submit many, close once.
 
@@ -315,9 +371,12 @@ class WorkerPool:
     platform without ``fork``/``spawn``).
 
     Lifecycle: :meth:`start` (optional — first submit warms lazily) →
-    :meth:`submit`/:meth:`imap` → :meth:`rebuild` on suspected crashes →
-    :meth:`close`.  ``generation`` counts pool (re)creations, so callers
-    can tell a warm reuse from a rebuild.
+    :meth:`submit`/:meth:`imap` → :meth:`wait` → :meth:`rebuild` after a
+    missed deadline → :meth:`close`.  ``generation`` counts pool
+    (re)creations, so callers can tell a warm reuse from a rebuild.  Every
+    shard executor in the package — the sharded batch engine, the
+    resilient engine, the service and the dist node — runs on this class,
+    and :meth:`wait` is the one place that decides a worker was lost.
     """
 
     def __init__(
@@ -367,9 +426,10 @@ class WorkerPool:
         if self.process_mode and self._pool is None:
             import multiprocessing
 
-            context = multiprocessing.get_context(self._method)
-            self._pool = context.Pool(
-                processes=self.workers, initializer=_pool_worker_init
+            self._pool = _pool_class()(
+                processes=self.workers,
+                initializer=_pool_worker_init,
+                context=multiprocessing.get_context(self._method),
             )
             self.generation += 1
         return self._pool
@@ -383,24 +443,71 @@ class WorkerPool:
     def worker_pids(self) -> List[int]:
         """PIDs of the live worker processes (empty for inline pools)."""
         with self._lock:
-            if self._pool is None:
-                return []
-            procs = getattr(self._pool, "_pool", None) or []
-            return [proc.pid for proc in procs if proc.pid is not None]
+            return self._pids()
+
+    def _pids(self) -> List[int]:
+        if self._pool is None:
+            return []
+        procs = list(getattr(self._pool, "_pool", None) or [])
+        return [proc.pid for proc in procs if proc.pid is not None]
 
     def submit(self, fn: Callable, payload):
         """Dispatch ``fn(payload)`` asynchronously; returns a result handle.
 
-        The handle answers ``get(timeout)`` / ``ready()`` — a
-        ``multiprocessing`` ``AsyncResult`` in process mode, an
-        already-completed :class:`_InlineHandle` otherwise.  ``fn`` must be
-        a module-level callable (it crosses the pickle boundary).
+        The handle answers ``get(timeout)`` / ``ready()`` and remembers the
+        pool generation and worker pids at submit time, so :meth:`wait`
+        can tell whether its worker was lost.  Inline pools run ``fn``
+        right here: their handle is complete when ``submit`` returns.
+        ``fn`` must be a module-level callable (it crosses the pickle
+        boundary).
         """
         with self._lock:
             pool = self._ensure_pool()
-        if pool is None:
-            return _InlineHandle(fn, payload)
-        return pool.apply_async(fn, (payload,))
+            if pool is not None:
+                return _PoolHandle(
+                    pool.apply_async(fn, (payload,)),
+                    self.generation,
+                    self._pids(),
+                )
+        return _InlineHandle(fn, payload)
+
+    def wait(self, handle, timeout: Optional[float] = None):
+        """Return a :meth:`submit` handle's reply; re-raise the task's error.
+
+        Raises :class:`WorkerLost` when the reply can never come: the pool
+        was rebuilt or closed since the submit, or a worker alive at
+        submit time has died (the pool replaces the process, but its task
+        is gone).  The first handle found lost rebuilds the pool, since
+        a worker that died idle takes the task queue's lock with it.  A
+        slow task whose workers all live is waited for however long it
+        runs; ``timeout`` bounds the wait instead (``0`` polls) and raises
+        ``TimeoutError`` when it passes.  Inline handles are complete, so
+        they never time out and are never lost.
+        """
+        end = None if timeout is None else time.monotonic() + timeout
+        while not handle.ready():
+            alive = self.worker_pids()
+            if (
+                handle.generation != self.generation
+                or not alive
+                or not handle.pids <= set(alive)
+            ):
+                if handle.ready():
+                    break  # the reply landed as the worker went
+                with self._lock:
+                    if handle.generation == self.generation:
+                        self._rebuild()
+                raise WorkerLost(
+                    f"pool generation {handle.generation} lost a worker "
+                    f"before the task replied"
+                )
+            left = _LOSS_POLL_SECONDS
+            if end is not None:
+                left = min(left, end - time.monotonic())
+                if left <= 0:
+                    raise TimeoutError(f"no reply within {timeout}s")
+            handle.wait(left)
+        return handle.get(0)
 
     def imap(self, fn: Callable, payloads: Iterable) -> Iterator:
         """Ordered lazy map over the pool (inline: a plain generator)."""
@@ -413,28 +520,33 @@ class WorkerPool:
     def rebuild(self) -> None:
         """Tear the current pool down and start a fresh one.
 
-        The crash-recovery path: a worker killed mid-task loses that task
-        forever (the pool replaces the process but the reply never comes),
-        so supervisors detect the loss by deadline, rebuild the pool, and
-        re-run the work.  In-flight handles of the old pool are abandoned.
+        The recovery path for a late worker: terminating it takes its
+        siblings down too.  In-flight handles of the old pool are
+        abandoned; :meth:`wait` reports them lost unless they already
+        replied.  (A lost worker needs no call here: :meth:`wait`
+        rebuilds the pool itself.)
         """
         with self._lock:
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
-                self.rebuilds += 1
-            if not self._closed:
-                self._ensure_pool()
+            self._rebuild()
+
+    def _rebuild(self) -> None:
+        if self._pool is not None:
+            self._teardown()
+            self.rebuilds += 1
+        if not self._closed:
+            self._ensure_pool()
+
+    def _teardown(self) -> None:
+        pool, self._pool = self._pool, None
+        pool.terminate()
+        pool.join()
 
     def close(self) -> None:
         """Shut the pool down (idempotent); further submits raise."""
         with self._lock:
             self._closed = True
             if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
+                self._teardown()
 
     def __enter__(self) -> "WorkerPool":
         return self.start()

@@ -70,9 +70,7 @@ __all__ = [
 #: subclass is a root — backends execute inside every worker).
 DEFAULT_ROOTS = (
     "align/parallel.py::_align_shard",
-    "resilience/engine.py::_process_entry",
-    "serve/service.py::_serve_shard",
-    "dist/worker.py::_execute_dist_shard",
+    "resilience/engine.py::_run_attempt",
     "stream/pipeline.py::_chunk_align_body",
 )
 

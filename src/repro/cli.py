@@ -349,10 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "every request must still complete with the correct result",
     )
     chaos.add_argument(
-        "--dispatch-timeout", type=float, default=3.0, metavar="SECONDS",
-        help="shard-loss detection deadline for the --serve drill",
-    )
-    chaos.add_argument(
         "--dist",
         action="store_true",
         help="distributed drill: node kill/hang/slow/partition faults "
@@ -516,10 +512,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--coalesce-max-pairs", type=int, default=16, metavar="PAIRS",
         help="dispatch a batch as soon as it holds this many pairs",
-    )
-    serve.add_argument(
-        "--dispatch-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="shard deadline before the pool is declared lost and rebuilt",
     )
     serve.add_argument(
         "--rate-limit", type=float, default=0.0, metavar="RPS",
@@ -1050,7 +1042,6 @@ def _cmd_serve(args) -> int:
         coalesce_max_pairs=args.coalesce_max_pairs,
         cache_size=args.cache_size,
         max_inflight=args.max_inflight,
-        dispatch_timeout=args.dispatch_timeout,
         rate_limit_rps=args.rate_limit,
         rate_limit_burst=args.rate_limit_burst,
     )
@@ -1148,7 +1139,6 @@ def _cmd_chaos(args) -> int:
             workers=args.workers,
             length=args.length,
             error_rate=args.error,
-            dispatch_timeout=args.dispatch_timeout,
         )
         print(report.render())
         if args.json:

@@ -51,16 +51,6 @@ from .protocol import (
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
 
-def _execute_dist_shard(payload):
-    """Worker-pool entry point for one dist shard (dsan root).
-
-    Module-level so it pickles under every start method; delegates to the
-    shared shard body so dist nodes inherit the exact kernel semantics —
-    and the exact worker-purity guarantees — of the local engines.
-    """
-    return _align_shard(payload)
-
-
 class DistWorker:
     """Shard executor state shared by all handler threads of one node."""
 
@@ -99,7 +89,15 @@ class DistWorker:
         }
 
     def execute(self, request: ShardRequest) -> ShardCompletion:
-        """Run one leased shard through the warm pool."""
+        """Run one leased shard through the warm pool.
+
+        The shard runs the local engines' shard body, so dist nodes
+        inherit their exact kernel semantics.  A pool worker that dies
+        mid-shard raises :class:`~repro.align.parallel.WorkerLost`, which
+        the handler answers with a 500: the coordinator's lease fails
+        and the shard is retried, instead of this thread blocking on a
+        reply that can never come.
+        """
         if request.fingerprint and request.fingerprint != self.fingerprint:
             raise DistError(
                 f"aligner fingerprint mismatch: coordinator sent "
@@ -114,8 +112,8 @@ class DistWorker:
             want_obs,
         )
         started = time.perf_counter()
-        handle = self.pool.submit(_execute_dist_shard, payload)
-        results, _stats, _elapsed, _worker, buffers = handle.get()
+        handle = self.pool.submit(_align_shard, payload)
+        results, _stats, _elapsed, _worker, buffers = self.pool.wait(handle)
         spans, metrics = buffers
         with self._lock:
             self.shards_done += 1

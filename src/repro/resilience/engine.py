@@ -5,9 +5,11 @@
 correct — byte-identical to a fault-free serial run — while workers
 crash, hang, return garbage, or the (modelled) hardware corrupts values:
 
-* **deadlines** — each shard attempt runs under ``shard_timeout``;
-  process-mode attempts are terminated at the deadline, inline attempts
-  are rejected retroactively (soft deadline).
+* **deadlines** — each shard attempt runs under ``shard_timeout``.
+  Every attempt runs on a :class:`~repro.align.parallel.WorkerPool`; on
+  a process pool a missed deadline rebuilds the pool, and the other
+  attempts in flight rerun uncharged.  Inline attempts are rejected
+  retroactively (soft deadline).
 * **retry with seeded backoff** — failed attempts are retried up to
   ``max_retries`` times with exponentially growing, deterministically
   jittered delays (:class:`RetryPolicy`), so campaigns replay exactly.
@@ -34,10 +36,11 @@ for in the returned ledger.
 from __future__ import annotations
 
 import contextlib
+import os
 import pickle
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..align.base import (
     Aligner,
@@ -50,8 +53,9 @@ from ..align.parallel import (
     DEFAULT_SHARD_SIZE,
     BatchTelemetry,
     ShardTelemetry,
+    WorkerLost,
+    WorkerPool,
     _pickling_failure,
-    _resolve_start_method,
     iter_shards,
 )
 from ..common.retry import RetryPolicy
@@ -166,6 +170,8 @@ class _ShardReply:
     #: metrics snapshot payload); absorbed by the supervisor on success.
     spans: Tuple[dict, ...] = ()
     metrics: Optional[dict] = None
+    #: Executing worker label (``pid:<n>``, or ``inline``).
+    worker: str = "inline"
 
 
 @dataclass
@@ -385,55 +391,46 @@ def _classify(exc: Exception) -> _ShardFailure:
     return _ShardFailure("exception", f"{type(exc).__name__}: {exc}")
 
 
-def _process_entry(conn, aligner: Aligner, task: _ShardTask) -> None:
-    """Worker-process body: run the attempt, ship one payload back."""
+def _run_attempt(payload: Tuple[Aligner, _ShardTask]) -> bytes:
+    """Pool entry point of one shard attempt; returns the pickled outcome.
+
+    Every failure is classified here, inside the worker, so no exception
+    has to cross the pipe.  The outcome is pickled here too, so a reply
+    that cannot cross the transport comes back as an ``unpicklable``
+    failure.  An inline pool runs this in the parent, with the same
+    failure surface.
+    """
+    aligner, task = payload
     try:
         reply = _execute_item(aligner, task)
-        payload = _PoisonedReply(reply) if reply.poison else reply
-        try:
-            conn.send(payload)
-        except _PICKLE_FAILURES as exc:
-            conn.send(
-                _ShardFailure(
-                    "unpicklable",
-                    f"shard [{task.lo},{task.hi}) reply failed to "
-                    f"pickle: {type(exc).__name__}",
-                )
+    except Exception as exc:  # noqa: BLE001 - classified, never raised
+        return pickle.dumps(_classify(exc))
+    reply.worker = f"pid:{os.getpid()}"
+    try:
+        return pickle.dumps(_PoisonedReply(reply) if reply.poison else reply)
+    except _PICKLE_FAILURES as exc:
+        return pickle.dumps(
+            _ShardFailure(
+                "unpicklable",
+                f"shard [{task.lo},{task.hi}) reply failed to pickle: "
+                f"{type(exc).__name__}",
             )
-    except Exception as exc:
-        conn.send(_classify(exc))
-    finally:
-        conn.close()
-
-
-def _run_inline(
-    aligner: Aligner, task: _ShardTask, deadline: Optional[float]
-):
-    """Inline attempt with the same failure surface as a worker process."""
-    try:
-        reply = _execute_item(aligner, task)
-    except Exception as exc:
-        return _classify(exc)
-    if reply.poison:
-        return _ShardFailure(
-            "unpicklable",
-            f"shard [{task.lo},{task.hi}) reply poisoned (injected)",
         )
-    if deadline is not None and reply.elapsed > deadline:
-        return _ShardFailure(
-            "timeout",
-            f"shard [{task.lo},{task.hi}) took {reply.elapsed:.3f}s "
-            f"(soft deadline {deadline}s)",
-        )
-    return reply
 
 
 @dataclass
-class _Active:
+class _Attempt:
+    """One shard attempt in flight on the pool."""
+
     item: _WorkItem
-    process: object
-    conn: object
-    started: float
+    task: _ShardTask
+    handle: Any = None
+    started: float = 0.0
+
+    def submit(self, pool: WorkerPool, aligner: Aligner) -> "_Attempt":
+        self.handle = pool.submit(_run_attempt, (aligner, self.task))
+        self.started = time.monotonic()
+        return self
 
 
 _FAILURE_COUNTERS = {
@@ -447,7 +444,7 @@ _FAILURE_COUNTERS = {
 
 
 class _Supervisor:
-    """Shared state machine of the resilient engine (both executors)."""
+    """State machine of the resilient engine: supply, arming, outcomes."""
 
     def __init__(
         self,
@@ -585,7 +582,7 @@ class _Supervisor:
 
     # -- outcome handling ---------------------------------------------------
 
-    def handle(self, item: _WorkItem, payload, worker: str) -> None:
+    def handle(self, item: _WorkItem, payload) -> None:
         if isinstance(payload, _ShardReply) and payload.checksum != item.checksum:
             payload = _ShardFailure(
                 "data",
@@ -595,11 +592,9 @@ class _Supervisor:
         if isinstance(payload, _ShardFailure):
             self._on_failure(item, payload)
             return
-        self._on_success(item, payload, worker)
+        self._on_success(item, payload)
 
-    def _on_success(
-        self, item: _WorkItem, reply: _ShardReply, worker: str
-    ) -> None:
+    def _on_success(self, item: _WorkItem, reply: _ShardReply) -> None:
         if obs.enabled():
             if reply.spans:
                 obs.recorder().absorb(list(reply.spans))
@@ -627,7 +622,7 @@ class _Supervisor:
             else:
                 record.outcome = "silent"
                 record.detail = "corrupted a value but every check passed"
-        self.complete(item, reply.results, [], reply.elapsed, worker)
+        self.complete(item, reply.results, [], reply.elapsed, reply.worker)
 
     def _on_failure(self, item: _WorkItem, failure: _ShardFailure) -> None:
         counter = _FAILURE_COUNTERS.get(failure.kind, "crashes")
@@ -828,8 +823,9 @@ def align_batch_resilient(
     once, the struck attempts are retried on healthy hardware).
 
     Args:
-        workers: concurrent shard processes (1 = supervised inline
-            execution with the same retry/degradation semantics).
+        workers: pool worker processes, and so the most attempts in
+            flight (1 = supervised inline execution with the same
+            retry/degradation semantics).
         shard_size: pairs per shard (default ``DEFAULT_SHARD_SIZE``).
         cross_check: independently verify every result — BPM score
             comparison, alignment replay validation, and (for tracing
@@ -837,9 +833,9 @@ def align_batch_resilient(
             detection layer for silent compute corruption.
         max_retries: attempts after the first, per work item
             (overrides ``retry.max_retries``).
-        shard_timeout: per-attempt deadline in seconds.  Process-mode
-            attempts are terminated at the deadline; inline attempts are
-            rejected after the fact.  Defaults to
+        shard_timeout: per-attempt deadline in seconds.  A process-mode
+            attempt past it is terminated with its pool, which is rebuilt;
+            inline attempts are rejected after the fact.  Defaults to
             :data:`DEFAULT_CHAOS_TIMEOUT` when a fault plan is present.
         slow_threshold: elapsed seconds above which a successful shard
             counts as *slow* (default: half the deadline).
@@ -879,13 +875,6 @@ def align_batch_resilient(
         slow_threshold = shard_timeout * 0.5
 
     pickling_failure = _pickling_failure(aligner) if workers > 1 else None
-    method = (
-        _resolve_start_method(start_method)
-        if workers > 1 and pickling_failure is None
-        else None
-    )
-    inline = method is None
-
     journal = None
     if checkpoint is not None:
         meta = {
@@ -902,6 +891,10 @@ def align_batch_resilient(
             meta.update(journal_meta)
         journal = CheckpointJournal(checkpoint, meta)
 
+    pool = WorkerPool(
+        1 if pickling_failure else workers, start_method=start_method
+    )
+    inline = not pool.process_mode
     supervisor = _Supervisor(
         aligner,
         iter_shards(pairs, shard_size),
@@ -922,17 +915,17 @@ def align_batch_resilient(
         shard_size=shard_size,
         backend=getattr(getattr(aligner, "backend", None), "name", None),
     )
-    telemetry.executor = "resilient-inline" if inline else f"resilient-{method}"
+    telemetry.executor = (
+        "resilient-inline" if inline else f"resilient-{pool.method}"
+    )
     telemetry.fallback_reason = pickling_failure
     start = time.perf_counter()
     token = dsan.batch_begin()
     try:
         with obs.span("batch.align_resilient", workers=workers):
-            if inline:
-                _drive_inline(supervisor, aligner)
-            else:
-                _drive_pool(supervisor, aligner, workers, method)
+            _drive(supervisor, pool, aligner)
     finally:
+        pool.close()
         dsan.batch_end(token, "align_batch_resilient")
     obs.inc("batch.resilient_runs")
     batch = supervisor.assemble(telemetry)
@@ -956,126 +949,84 @@ def _make_task(supervisor: _Supervisor, item: _WorkItem) -> _ShardTask:
     )
 
 
-def _drive_inline(supervisor: _Supervisor, aligner: Aligner) -> None:
-    """Sequential executor: one attempt at a time, soft deadlines."""
-    worker = aligner
-    if supervisor.plan is not None:
+def _drive(supervisor: _Supervisor, pool: WorkerPool, aligner: Aligner) -> None:
+    """Run every shard attempt on ``pool`` until the work is drained.
+
+    At most ``pool.workers`` attempts are in flight — one on an inline
+    pool, whose handles are complete when ``submit`` returns — so an
+    attempt's deadline starts when the attempt does.
+    """
+    slots = pool.workers if pool.process_mode else 1
+    if (
+        not pool.process_mode
+        and supervisor.plan is not None
+        and _pickling_failure(aligner) is None
+    ):
         # Emulate the worker-copy semantics of process mode so injected
         # state never leaks into the caller's aligner.
-        failure = _pickling_failure(aligner)
-        if failure is None:
-            worker = pickle.loads(pickle.dumps(aligner))
+        aligner = pickle.loads(pickle.dumps(aligner))
+    active: List[_Attempt] = []
     while True:
         now = time.monotonic()
-        item = supervisor.next_ready(now)
-        if item is None:
+        while len(active) < slots:
+            item = supervisor.next_ready(now)
+            if item is None:
+                break
+            if not supervisor.try_resume(item):
+                task = _make_task(supervisor, item)
+                active.append(_Attempt(item, task).submit(pool, aligner))
+        if not active:
             if supervisor.drained():
                 return
             time.sleep(min(0.05, supervisor.next_ready_in(now) or 0.001))
             continue
-        if supervisor.try_resume(item):
-            continue
-        task = _make_task(supervisor, item)
-        payload = _run_inline(worker, task, supervisor.shard_timeout)
-        supervisor.handle(item, payload, worker="inline")
-
-
-def _drive_pool(
-    supervisor: _Supervisor, aligner: Aligner, workers: int, method: str
-) -> None:
-    """Process-per-attempt executor with hard deadlines."""
-    import multiprocessing
-
-    context = multiprocessing.get_context(method)
-    active: List[_Active] = []
-    try:
-        while True:
-            now = time.monotonic()
-            while len(active) < workers:
-                item = supervisor.next_ready(now)
-                if item is None:
-                    break
-                if supervisor.try_resume(item):
-                    continue
-                task = _make_task(supervisor, item)
-                parent_conn, child_conn = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=_process_entry,
-                    args=(child_conn, aligner, task),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                active.append(
-                    _Active(
-                        item=item,
-                        process=process,
-                        conn=parent_conn,
-                        started=time.monotonic(),
-                    )
-                )
-            if not active:
-                if supervisor.drained():
-                    return
-                time.sleep(
-                    min(0.05, supervisor.next_ready_in(time.monotonic()) or 0.001)
-                )
+        progressed = False
+        for attempt in list(active):
+            outcome = _collect(pool, supervisor.shard_timeout, attempt)
+            if outcome is None:
                 continue
-            progressed = False
-            for entry in list(active):
-                payload = _poll_active(supervisor, entry)
-                if payload is None:
-                    continue
-                active.remove(entry)
-                label = f"pid:{entry.process.pid}"
-                supervisor.handle(entry.item, payload, worker=label)
-                progressed = True
-            if not progressed:
-                time.sleep(0.002)
-    finally:
-        for entry in active:
-            entry.process.terminate()
-            entry.process.join()
-            entry.conn.close()
+            active.remove(attempt)
+            for other in active:
+                # A rebuild took the pool down under this attempt before it
+                # replied: rerun it with the same armed faults, uncharged.
+                if (
+                    other.handle.generation != pool.generation
+                    and not other.handle.ready()
+                ):
+                    other.submit(pool, aligner)
+            supervisor.handle(attempt.item, outcome)
+            progressed = True
+        if not progressed:
+            time.sleep(0.002)
 
 
-def _poll_active(supervisor: _Supervisor, entry: _Active):
-    """One poll of an in-flight attempt; a payload ends the attempt."""
-    payload = None
-    if entry.conn.poll(0):
-        try:
-            payload = entry.conn.recv()
-        except (EOFError, OSError, pickle.UnpicklingError) as exc:
-            payload = _ShardFailure(
-                "crash", f"reply lost in transport: {type(exc).__name__}"
-            )
-    elif not entry.process.is_alive():
-        # The process died; give a raced final message one grace poll.
-        if entry.conn.poll(0.05):
-            try:
-                payload = entry.conn.recv()
-            except (EOFError, OSError, pickle.UnpicklingError) as exc:
-                payload = _ShardFailure(
-                    "crash",
-                    f"reply lost in transport: {type(exc).__name__}",
-                )
-        else:
-            payload = _ShardFailure(
-                "crash",
-                f"worker exited without a reply "
-                f"(exitcode {entry.process.exitcode})",
-            )
-    elif (
-        supervisor.shard_timeout is not None
-        and time.monotonic() - entry.started > supervisor.shard_timeout
-    ):
-        entry.process.terminate()
-        payload = _ShardFailure(
-            "timeout",
-            f"shard [{entry.item.lo},{entry.item.hi}) exceeded the "
-            f"{supervisor.shard_timeout}s deadline",
+def _collect(pool: WorkerPool, timeout: Optional[float], attempt: _Attempt):
+    """One look at an attempt in flight: its outcome, or None while it runs.
+
+    A missed hard deadline rebuilds the pool, since terminating the late
+    worker takes its siblings down.  An inline attempt has finished by
+    the time it is looked at, so a late one fails its soft deadline.
+    """
+    shard = f"shard [{attempt.task.lo},{attempt.task.hi})"
+    try:
+        outcome = pickle.loads(pool.wait(attempt.handle, timeout=0))
+    except TimeoutError:
+        if timeout is None or time.monotonic() - attempt.started <= timeout:
+            return None
+        pool.rebuild()
+        return _ShardFailure(
+            "timeout", f"{shard} exceeded the {timeout}s deadline"
         )
-    if payload is not None:
-        entry.process.join()
-        entry.conn.close()
-    return payload
+    except WorkerLost:
+        return _ShardFailure("crash", f"{shard} lost its worker")
+    except Exception as exc:  # noqa: BLE001 - an error that crossed anyway
+        return _classify(exc)
+    if pool.process_mode or not isinstance(outcome, _ShardReply):
+        return outcome
+    outcome.worker = "inline"
+    if timeout is not None and outcome.elapsed > timeout:
+        return _ShardFailure(
+            "timeout",
+            f"{shard} took {outcome.elapsed:.3f}s (soft deadline {timeout}s)",
+        )
+    return outcome

@@ -36,11 +36,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from ..align.parallel import WorkerPool
+from ..align.parallel import WorkerPool, _align_shard
 from ..common.retry import RetryPolicy
 from ..workloads.generator import generate_pair_set
 from .http import running_server
-from .service import AlignmentService, ServeConfig, _serve_shard
+from .service import AlignmentService, ServeConfig
 
 
 def percentile(samples: List[int], fraction: float) -> int:
@@ -249,7 +249,7 @@ def _measure_cold(
         pool = WorkerPool(workers, start_method=method)
         try:
             payload = (aligner, [(pattern, text)], True, False, False)
-            pool.submit(_serve_shard, payload).get(timeout=120)
+            pool.submit(_align_shard, payload).get(timeout=120)
         finally:
             pool.close()
         samples.append(time.perf_counter_ns() - start)

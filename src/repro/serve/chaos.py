@@ -1,14 +1,14 @@
 """Serving-path chaos drill: kill a pool worker mid-request.
 
 The serving layer's availability claim is that a lost worker process
-costs latency, never correctness: the service detects the missing shard
-reply (deadline), rebuilds the pool, re-executes the shard inline, and
-the client still receives the byte-identical result.  This drill proves
-it end to end:
+costs latency, never correctness: the pool finds the dead worker by a
+liveness check and rebuilds itself, the service re-executes the shard
+inline, and the client still receives the byte-identical result.  This
+drill proves it end to end:
 
 1. compute the expected results serially (:func:`align_batch`);
 2. boot a process-mode service with caching off (every pair must be
-   *computed*, not remembered) and a throttled dispatch deadline;
+   *computed*, not remembered);
 3. submit the full workload, then SIGKILL a deterministically chosen
    pool worker while shards are in flight;
 4. gather every future and compare (score, cigar) lists against serial.
@@ -82,7 +82,6 @@ def run_serve_chaos(
     workers: int = 2,
     length: int = 96,
     error_rate: float = 0.08,
-    dispatch_timeout: float = 3.0,
     start_method: Optional[str] = None,
 ) -> ServeChaosReport:
     """Kill a worker under live serving load; verify nothing was lost."""
@@ -101,8 +100,6 @@ def run_serve_chaos(
         coalesce_window=0.001,
         coalesce_max_pairs=4,  # many small shards -> a live backlog to hit
         max_inflight=max(pairs * 2, 64),
-        dispatch_timeout=dispatch_timeout,
-        request_timeout=max(60.0, dispatch_timeout * pairs),
         start_method=start_method,
     )
     service = AlignmentService(FullGmxAligner(), config=config)

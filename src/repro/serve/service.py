@@ -18,11 +18,11 @@ facade over it, and tests/benchmarks drive it directly.  One service owns:
   :class:`ServiceSaturatedError` carrying a ``retry_after`` hint (the
   HTTP layer turns it into ``429`` + ``Retry-After``), so load sheds
   instead of queueing unboundedly;
-* **crash recovery** — a shard whose reply misses its dispatch deadline
-  (the observable symptom of a killed worker: the pool replaces the
-  process but the reply never arrives) triggers a pool rebuild and an
-  inline re-execution of the shard, so the request still completes with
-  correct output.
+* **crash recovery** — a shard the pool reports lost (its worker died
+  before replying: the pool replaces the process, but the reply never
+  arrives, see :meth:`~repro.align.parallel.WorkerPool.wait`) is
+  re-executed inline, so the request still completes with correct
+  output.
 
 Results are **byte-identical to serial** :func:`~repro.align.batch.align_batch`
 — same scores, CIGARs, and per-pair :class:`~repro.align.base.KernelStats`
@@ -36,20 +36,21 @@ service arms obs itself it keeps metrics only, never spans.
 
 from __future__ import annotations
 
-import multiprocessing
 import queue
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..align.base import Aligner, KernelStats
 from ..align.full_gmx import FullGmxAligner
 from ..align.parallel import (
+    WorkerLost,
     WorkerPool,
     _absorb_obs_buffers,
     _align_shard,
+    _InlineHandle,
     _pickling_failure,
 )
 from ..obs import runtime as obs
@@ -85,22 +86,6 @@ class ServiceSaturatedError(ServeError):
 
 class ServiceClosedError(ServeError):
     """The service is not accepting requests (not started, or closed)."""
-
-
-class _WorkerLost(Exception):
-    """Internal: a dispatched shard's worker was verified dead."""
-
-
-def _serve_shard(payload):
-    """Worker body of the server's shard dispatch path.
-
-    Module-level so it pickles under every multiprocessing start method;
-    delegates to the batch engine's shard runner so server shards execute
-    exactly the code the conformance/chaos suites prove deterministic.
-    Registered as a dsan worker-reachability root (see
-    :data:`repro.analysis.sanitizer.reachability.DEFAULT_ROOTS`).
-    """
-    return _align_shard(payload)
 
 
 @dataclass(frozen=True)
@@ -148,9 +133,6 @@ class ServeConfig:
         cache_size: result-cache capacity in entries (0 disables caching).
         max_inflight: admission limit — pairs queued or executing; beyond
             it, submissions are rejected with 429/``Retry-After``.
-        dispatch_timeout: seconds a dispatched shard may run before the
-            service declares its worker lost, rebuilds the pool, and
-            re-executes the shard inline.
         request_timeout: seconds a blocking helper waits for one request.
         retry_after: the ``Retry-After`` hint handed to rejected clients.
         rate_limit_rps: per-client token-bucket refill rate in pairs per
@@ -165,7 +147,6 @@ class ServeConfig:
     coalesce_max_pairs: int = 16
     cache_size: int = 4096
     max_inflight: int = 256
-    dispatch_timeout: float = 30.0
     request_timeout: float = 60.0
     retry_after: float = 0.25
     rate_limit_rps: float = 0.0
@@ -179,20 +160,11 @@ _STOP = object()
 
 @dataclass
 class _InFlightShard:
-    """One dispatched shard awaiting collection.
-
-    ``worker_pids`` snapshots the pool's processes at dispatch time so the
-    collector can tell a crashed worker (a pid vanished — the pool replaces
-    it and the reply is lost forever) from a healthy shard still queued
-    behind others when its deadline expires.
-    """
+    """One dispatched shard awaiting collection."""
 
     handle: object
     batch: List[PendingPair]
     payload: tuple
-    deadline: float
-    worker_pids: Tuple[int, ...] = ()
-    generation: int = 0
 
 
 class AlignmentService:
@@ -460,20 +432,11 @@ class AlignmentService:
         obs.inc("serve.batches")
         obs.observe("serve.coalesce.batch_pairs", len(batch))
         try:
-            handle = self.pool.submit(_serve_shard, payload)
+            handle = self.pool.submit(_align_shard, payload)
         except Exception:  # noqa: BLE001 - degrade to inline execution
-            from ..align.parallel import _InlineHandle
-
-            handle = _InlineHandle(_serve_shard, payload)
+            handle = _InlineHandle(_align_shard, payload)
         self._collect_queue.put(
-            _InFlightShard(
-                handle=handle,
-                batch=batch,
-                payload=payload,
-                deadline=time.monotonic() + self.config.dispatch_timeout,
-                worker_pids=tuple(self.pool.worker_pids()),
-                generation=self.pool.generation,
-            )
+            _InFlightShard(handle=handle, batch=batch, payload=payload)
         )
 
     def _collect_loop(self) -> None:
@@ -496,16 +459,15 @@ class AlignmentService:
     def _collect_one(self, shard: _InFlightShard) -> None:
         start = time.perf_counter()
         try:
-            outcome = self._await_shard(shard)
-        except _WorkerLost:
+            outcome = self.pool.wait(shard.handle)
+        except WorkerLost:
             outcome = self._recover(shard)
             if outcome is None:
                 return
         except Exception as exc:  # noqa: BLE001 - application error
-            # The reply arrived promptly and was an exception: the shard
-            # *ran* and raised — an application error, not a lost worker.
-            # Fail only this batch; the pool is healthy and rebuilding it
-            # would abandon every other in-flight shard.
+            # The reply arrived and was an exception: the shard *ran* and
+            # raised — an application error, not a lost worker.  Fail only
+            # this batch; the pool is healthy.
             self._fail(shard.batch, exc)
             return
         results, _stats, _seconds, _worker, buffers = outcome
@@ -516,63 +478,19 @@ class AlignmentService:
         )
         self._complete(shard.batch, results)
 
-    def _await_shard(self, shard: _InFlightShard):
-        """Wait for a shard's reply; raise :class:`_WorkerLost` on loss.
-
-        A missed deadline alone is not proof of a dead worker: the
-        collector drains shards serially, so under load a healthy shard
-        can still be queued in the pool when its dispatch-relative
-        deadline expires.  Before declaring the pool lost (a disruptive
-        call — rebuild abandons every other in-flight shard), verify the
-        symptom: the reply is absent *and* a worker from the dispatch-time
-        pid snapshot is gone (the pool replaces crashed processes, so a
-        changed pid set means a task may have died with its worker).
-        While the original workers all remain alive the shard is merely
-        queued, and it is granted another full deadline.
-        """
-        if not self.pool.process_mode:
-            return shard.handle.get()
-        while True:
-            if self.pool.generation != shard.generation:
-                # The pool this shard was dispatched to was rebuilt while
-                # the shard waited in the collect queue; unless the reply
-                # already landed, it never will — skip the deadline wait.
-                if shard.handle.ready():
-                    return shard.handle.get(timeout=0)
-                raise _WorkerLost() from None
-            try:
-                return shard.handle.get(
-                    timeout=max(0.0, shard.deadline - time.monotonic())
-                )
-            except (multiprocessing.TimeoutError, TimeoutError):
-                if shard.handle.ready():
-                    # The reply landed just as the deadline fired.
-                    return shard.handle.get(timeout=0)
-                alive = set(self.pool.worker_pids())
-                if not alive or not set(shard.worker_pids) <= alive:
-                    raise _WorkerLost() from None
-                shard.deadline = (
-                    time.monotonic() + self.config.dispatch_timeout
-                )
-
     def _recover(self, shard: _InFlightShard):
-        """Crash path: rebuild the pool, re-run the shard inline.
+        """Crash path: re-run a lost shard inline.
 
-        A missing reply means the executing worker died (or the pool
-        broke): the request must still complete, so the shard re-executes
-        in this thread — same payload, same deterministic kernel — while
-        a fresh pool is built for subsequent traffic.  Returns the shard
-        outcome, or ``None`` after failing the batch's futures.
+        The pool has already rebuilt itself for subsequent traffic; the
+        request must still complete, so the shard re-executes in this
+        thread — same payload, same deterministic kernel.  Returns the
+        shard outcome, or ``None`` after failing the batch's futures.
         """
         with self._lock:
             self.shard_recoveries += 1
-        obs.inc("serve.pool.rebuilds")
+        obs.inc("serve.pool.recoveries")
         try:
-            self.pool.rebuild()
-        except Exception:  # noqa: BLE001 - a dead pool must not kill requests
-            pass
-        try:
-            return _serve_shard(shard.payload)
+            return _align_shard(shard.payload)
         except Exception as exc:  # noqa: BLE001 - routed to the futures
             self._fail(shard.batch, exc)
             return None

@@ -2,6 +2,10 @@
 
 import http.client
 import json
+import os
+import signal
+import threading
+import time
 from urllib.parse import urlsplit
 
 import pytest
@@ -147,6 +151,61 @@ def test_worker_pool_is_reused_across_shards(node):
         assert status == 200
     assert worker.shards_done == 3
     assert worker.pool.generation == generation  # warm, not rebuilt
+
+
+class _StallingAligner(FullGmxAligner):
+    """Stalls on ``victim``, first leaving its pid as a file in ``pid_dir``."""
+
+    def __init__(self, victim, pid_dir, **kwargs):
+        super().__init__(**kwargs)
+        self.victim = victim
+        self.pid_dir = pid_dir
+
+    def align(self, pattern, text, traceback=True):
+        if pattern == self.victim:
+            open(os.path.join(self.pid_dir, str(os.getpid())), "w").close()
+            time.sleep(30)
+        return super().align(pattern, text, traceback=traceback)
+
+
+def test_pool_worker_killed_mid_shard_answers_500_then_recovers(tmp_path):
+    stalled = _pairs(2, seed=5)
+    aligner = _StallingAligner(stalled[0][0], str(tmp_path))
+    # workers=2 is the `repro dist worker` default: a real process pool.
+    with running_worker(aligner, node="n2", workers=2) as (worker, url):
+        if not worker.pool.process_mode:
+            pytest.skip("no usable multiprocessing start method")
+        client = _Client(url)
+        replies = []
+        thread = threading.Thread(
+            target=lambda: replies.append(
+                client.post("/shard", _request(aligner, stalled).to_json())
+            )
+        )
+        thread.start()
+        deadline = time.monotonic() + 20
+        while not list(tmp_path.iterdir()) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        victim = int(next(tmp_path.iterdir()).name)
+        os.kill(victim, signal.SIGKILL)
+        killed_at = time.monotonic()
+        thread.join(timeout=20)
+        assert not thread.is_alive()
+        assert time.monotonic() - killed_at < 5
+        status, body = replies[0]
+        assert status == 500
+        assert "WorkerLost" in json.loads(body)["error"]
+        # ...then the node serves its next shard.
+        healthy = _pairs(2, seed=6)
+        status, body = client.post(
+            "/shard", _request(aligner, healthy).to_json()
+        )
+        client.close()
+    assert status == 200
+    completion = ShardCompletion.from_json(body)
+    assert completion.results == [
+        FullGmxAligner().align(p, t) for p, t in healthy
+    ]
 
 
 def test_direct_execute_checks_fingerprint():

@@ -1,5 +1,10 @@
 """Tests for the fault-tolerant batch engine (repro.resilience.engine)."""
 
+import multiprocessing
+import os
+import signal
+import time
+
 import pytest
 
 from repro.align import FullGmxAligner, align_batch
@@ -33,6 +38,42 @@ def reference(aligner, pairs):
 
 def _plan(pair_count, *specs):
     return FaultPlan(seed=0, pair_count=pair_count, faults=tuple(specs))
+
+
+class _KillOnceAligner(FullGmxAligner):
+    """SIGKILLs the pool worker that first aligns ``victim``.
+
+    A marker file makes the kill happen once across all processes, and
+    the test process itself is never the victim.
+    """
+
+    def __init__(self, victim, marker, **kwargs):
+        super().__init__(**kwargs)
+        self.victim = victim
+        self.marker = marker
+        self.parent = os.getpid()
+
+    def align(self, pattern, text, traceback=True):
+        if pattern == self.victim and os.getpid() != self.parent:
+            try:
+                os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return super().align(pattern, text, traceback=traceback)
+
+
+class _PausingAligner(FullGmxAligner):
+    """Sleeps ``pause`` seconds before every alignment."""
+
+    def __init__(self, pause, **kwargs):
+        super().__init__(**kwargs)
+        self.pause = pause
+
+    def align(self, pattern, text, traceback=True):
+        time.sleep(self.pause)
+        return super().align(pattern, text, traceback=traceback)
 
 
 class TestRetryPolicy:
@@ -281,3 +322,61 @@ class TestProcessPool:
             pytest.skip("no usable multiprocessing start method")
         assert batch.results == reference.results
         assert batch.ledger[0].outcome == "retried"
+
+    def test_killed_pool_worker_is_a_crash(self, pairs, reference, tmp_path):
+        # No deadline at all: only the pool's liveness check can notice
+        # the SIGKILLed worker, and its attempt must still be retried.
+        marker = tmp_path / "killed"
+        aligner = _KillOnceAligner(pairs[2].pattern, str(marker), tile_size=8)
+        batch = align_batch_resilient(aligner, pairs, workers=2, shard_size=2)
+        if batch.telemetry.executor == "resilient-inline":
+            pytest.skip("no usable multiprocessing start method")
+        assert marker.exists()
+        assert batch.results == reference.results
+        assert batch.stats == reference.stats
+        assert batch.telemetry.resilience.crashes >= 1
+
+    def test_hang_charges_only_the_late_attempt(self, pairs, reference):
+        # Three 0.7 s shards on two workers.  Shard 0 hangs; shard 2 starts
+        # when shard 1 finishes, so it is mid-flight when shard 0 misses
+        # its 1 s deadline and the pool is rebuilt under it.  It reruns
+        # uncharged: one timeout, one retry, nothing else.
+        plan = _plan(
+            6,
+            FaultSpec(fault_id=0, layer="worker", kind="hang",
+                      pair_index=0, seed=5),
+        )
+        batch = align_batch_resilient(
+            _PausingAligner(0.35, tile_size=8), pairs, workers=2,
+            shard_size=2, fault_plan=plan, shard_timeout=1.0,
+        )
+        if batch.telemetry.executor == "resilient-inline":
+            pytest.skip("no usable multiprocessing start method")
+        assert batch.results == reference.results
+        counters = batch.telemetry.resilience
+        assert counters.timeouts == 1
+        assert counters.retries == 1
+        assert counters.crashes == 0
+        assert batch.ledger[0].outcome == "retried"
+
+    def test_no_worker_outlives_a_run(self, aligner, pairs):
+        align_batch_resilient(aligner, pairs, workers=2, shard_size=2)
+        plan = _plan(
+            6,
+            FaultSpec(fault_id=0, layer="worker", kind="hang",
+                      pair_index=0, seed=5),
+        )
+        align_batch_resilient(
+            aligner, pairs, workers=2, shard_size=2, fault_plan=plan,
+            shard_timeout=0.3,
+        )
+
+        def broken_stream():
+            yield from pairs[:4]
+            raise RuntimeError("input stream broke")
+
+        with pytest.raises(RuntimeError, match="input stream broke"):
+            align_batch_resilient(
+                aligner, broken_stream(), workers=2, shard_size=2
+            )
+        assert multiprocessing.active_children() == []

@@ -11,9 +11,7 @@ HAS_PROCESSES = bool(multiprocessing.get_all_start_methods())
 
 @pytest.mark.chaos
 def test_worker_kill_mid_request_still_completes():
-    report = run_serve_chaos(
-        seed=7, pairs=24, workers=2, dispatch_timeout=3.0
-    )
+    report = run_serve_chaos(seed=7, pairs=24, workers=2)
     assert report.ok
     assert report.identical
     assert report.completed == 24

@@ -1,10 +1,19 @@
-"""WorkerPool lifecycle: warm reuse, rebuild, close, batch-API sharing."""
+"""WorkerPool lifecycle: warm reuse, rebuild, close, loss check, sharing."""
 
 import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
-from repro.align import FullGmxAligner, PoolError, WorkerPool, align_batch
+from repro.align import (
+    FullGmxAligner,
+    PoolError,
+    WorkerLost,
+    WorkerPool,
+    align_batch,
+)
 from repro.align.parallel import _align_shard, align_batch_sharded
 from repro.workloads import generate_pair_set
 
@@ -86,6 +95,60 @@ class TestPoolLifecycle:
             assert after and after.isdisjoint(before)
             results, *_ = pool.submit(_align_shard, _payload()).get(timeout=60)
             assert len(results) == 2
+
+
+class TestLossCheck:
+    """WorkerPool.wait tells a lost task from a slow one."""
+
+    @needs_processes
+    def test_slow_live_task_is_not_lost(self):
+        with WorkerPool(2) as pool:
+            handle = pool.submit(time.sleep, 0.4)
+            with pytest.raises(TimeoutError):
+                pool.wait(handle, timeout=0.05)
+            # Several liveness checks pass while the worker sleeps.
+            assert pool.wait(handle, timeout=30) is None
+            assert pool.rebuilds == 0
+
+    @needs_processes
+    def test_killed_worker_is_lost_and_the_pool_rebuilt(self):
+        with WorkerPool(2) as pool:
+            # One task per worker: either may have landed on the victim.
+            handles = [pool.submit(time.sleep, 30) for _ in range(2)]
+            os.kill(sorted(handles[0].pids)[0], signal.SIGKILL)
+            started = time.monotonic()
+            with pytest.raises(WorkerLost):
+                pool.wait(handles[0], timeout=20)
+            assert time.monotonic() - started < 5
+            with pytest.raises(WorkerLost):
+                pool.wait(handles[1], timeout=0)
+            assert pool.rebuilds == 1 and pool.generation == 2
+            handle = pool.submit(_align_shard, _payload())
+            results, *_ = pool.wait(handle, timeout=60)
+            assert len(results) == 2
+
+    @needs_processes
+    def test_handle_from_before_rebuild_is_lost(self):
+        with WorkerPool(2) as pool:
+            done = pool.submit(_align_shard, _payload())
+            done.get(timeout=60)
+            pending = pool.submit(time.sleep, 30)
+            pool.rebuild()
+            with pytest.raises(WorkerLost):
+                pool.wait(pending, timeout=30)
+            # A reply that landed before the rebuild is still delivered,
+            # and the loss did not rebuild the pool a second time.
+            results, *_ = pool.wait(done, timeout=0)
+            assert len(results) == 2
+            assert pool.rebuilds == 1
+
+    def test_inline_handle_is_never_lost(self):
+        pool = WorkerPool(1)
+        handle = pool.submit(_align_shard, _payload())
+        pool.rebuild()
+        pool.close()
+        results, *_ = pool.wait(handle, timeout=0)
+        assert len(results) == 2
 
 
 class TestSharedPoolBatchAPI:

@@ -55,7 +55,7 @@ class _PoisonAligner(FullGmxAligner):
 
 
 class _SlowAligner(FullGmxAligner):
-    """Picklable aligner slower than the service's dispatch deadline."""
+    """Picklable aligner slower than several of the pool's liveness checks."""
 
     def align(self, pattern, text, traceback=True):
         time.sleep(0.5)
@@ -310,10 +310,9 @@ def test_submit_rolls_back_admission_on_coalescer_failure():
 
 @needs_processes
 def test_slow_healthy_shard_is_not_declared_lost():
-    """Deadline expiry alone must not rebuild the pool: verify death."""
+    """A slow shard must not rebuild the pool: only a dead worker does."""
     config = ServeConfig(
-        workers=2, cache_size=0, coalesce_window=0.0,
-        dispatch_timeout=0.15, request_timeout=30.0,
+        workers=2, cache_size=0, coalesce_window=0.0, request_timeout=30.0,
     )
     with AlignmentService(_SlowAligner(), config=config) as service:
         if not service.pool.process_mode:
@@ -321,8 +320,8 @@ def test_slow_healthy_shard_is_not_declared_lost():
         pattern, text = _workload(count=1)[0]
         result = service.align_pair(pattern, text, timeout=30)
         assert result.score == FullGmxAligner().align(pattern, text).score
-        # The shard blew through several dispatch deadlines while its
-        # worker stayed alive — no spurious recovery, no rebuild.
+        # The shard outlived several liveness checks while its worker
+        # stayed alive — no spurious recovery, no rebuild.
         assert service.shard_recoveries == 0
         assert service.pool.rebuilds == 0
 
