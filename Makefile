@@ -14,8 +14,11 @@
 # (skipped with a notice when pytest-cov is not installed — the repro
 # container ships without it; CI installs it in the coverage job).
 # `lint` chains ruff and mypy (skipped with a notice when not installed —
-# the repro container ships without them; CI installs both) and always
-# finishes with the in-tree static analyzer, `repro lint`.
+# the repro container ships without them; CI installs both), the
+# `dispatch-lint` grep (`apply_async`/`imap` may appear in src/repro only
+# in align/parallel.py, so `WorkerPool.submit` stays the one way a shard
+# is dispatched) and always finishes with the in-tree static analyzer,
+# `repro lint`.
 # `sanitize` runs the concurrency & determinism sanitizer: the
 # worker-reachability scan plus guarded/shadow execution (`repro
 # sanitize`), its violation-corpus self-check (which must exit non-zero),
@@ -39,7 +42,7 @@ PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 COV_MIN ?= 80
 
-.PHONY: test test-fast test-slow test-chaos test-cov test-backends bench verify lint sanitize serve-test dist-test stream-test
+.PHONY: test test-fast test-slow test-chaos test-cov test-backends bench verify lint dispatch-lint sanitize serve-test dist-test stream-test
 
 test:
 	$(PYTEST) -x -q
@@ -111,7 +114,7 @@ sanitize:
 		tests/analysis/test_sarif.py
 	$(PYTEST) -q tests/conformance --sanitize
 
-lint:
+lint: dispatch-lint
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check src tests; \
 	else \
@@ -123,3 +126,10 @@ lint:
 		echo "mypy not installed; skipping (pip install -e .[lint])"; \
 	fi
 	PYTHONPATH=src $(PYTHON) -m repro lint
+
+dispatch-lint:
+	@if grep -rnE 'apply_async|\bimap' src/repro --include='*.py' \
+			| grep -v '^src/repro/align/parallel\.py:'; then \
+		echo "dispatch shards through WorkerPool.submit (align/parallel.py)" >&2; \
+		exit 1; \
+	fi

@@ -2,10 +2,10 @@
 
 The acceptance bar mirrors the observability layer's: when no
 ``sanitize()`` session is armed, the batch-boundary instrumentation in
-``align_batch`` / ``align_batch_sharded`` / ``align_batch_resilient``
-must cost <5% — every instrumented boundary collapses to one module-flag
-check (``dsan.armed`` is False), so a library user who never arms the
-sanitizer pays (almost) nothing.  The armed path is measured and
+``align_batch`` / ``align_batch_resilient`` must cost <5% — every
+instrumented boundary collapses to one module-flag check (``dsan.armed``
+is False), so a library user who never arms the sanitizer pays (almost)
+nothing.  The armed path is measured and
 reported, never gated: guarding is opt-in, CI-only.
 """
 

@@ -33,7 +33,6 @@ from .parallel import (
     ShardTelemetry,
     WorkerLost,
     WorkerPool,
-    align_batch_sharded,
     iter_shards,
 )
 from .windowed_gmx import WindowedAligner, WindowedGmxAligner
@@ -60,7 +59,6 @@ __all__ = [
     "WindowedAligner",
     "WindowedGmxAligner",
     "align_batch",
-    "align_batch_sharded",
     "align_pair",
     "backend_names",
     "canonical_cigar",

@@ -99,11 +99,6 @@ class KernelStats:
         """Total retired instructions across all classes."""
         return sum(self.instructions.values())
 
-    @property
-    def dp_bytes_traffic(self) -> int:
-        """Total DP-state bytes moved (reads + writes)."""
-        return self.dp_bytes_read + self.dp_bytes_written
-
     def merge(self, other: "KernelStats") -> None:
         """Accumulate another invocation's stats into this record.
 

@@ -18,16 +18,31 @@ Example::
 
 from __future__ import annotations
 
+import os
+import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
+from typing import Deque, Iterable, List, Optional
 
+from ..analysis.sanitizer import runtime as dsan
+from ..obs import runtime as obs
 from .base import Aligner, AlignmentResult, KernelStats
+from .parallel import (
+    DEFAULT_SHARD_SIZE,
+    BatchTelemetry,
+    PairLike,
+    ShardTelemetry,
+    WorkerPool,
+    _absorb_obs_buffers,
+    _align_shard,
+    _pickling_failure,
+    iter_shards,
+)
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel → batch)
-    from .parallel import BatchTelemetry
-
-#: Accepted pair forms: (pattern, text) tuples or SequencePair-like objects.
-PairLike = Union[Tuple[str, str], "object"]
+#: Shards kept in flight per pool worker: one running and one queued, so
+#: no worker idles while the parent merges, and a streamed input is cut
+#: into shards only as this window drains.
+SHARDS_IN_FLIGHT_PER_WORKER = 2
 
 
 @dataclass
@@ -109,31 +124,23 @@ class BatchResult:
         return estimate_energy(self.stats, timing.cycles).nj_per_alignment
 
 
-def _as_pair(item: PairLike) -> Tuple[str, str]:
-    if isinstance(item, tuple):
-        pattern, text = item
-        return pattern, text
-    pattern = getattr(item, "pattern", None)
-    text = getattr(item, "text", None)
-    if pattern is None or text is None:
-        raise TypeError(
-            f"batch items must be (pattern, text) tuples or carry "
-            f".pattern/.text attributes, got {type(item).__name__}"
-        )
-    return pattern, text
-
-
 def align_batch(
     aligner: Aligner,
     pairs: Iterable[PairLike],
     *,
     traceback: bool = True,
     validate: bool = False,
-    workers: int = 1,
+    workers: Optional[int] = 1,
     shard_size: Optional[int] = None,
     backend: Optional[object] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> BatchResult:
     """Align every pair with ``aligner`` and aggregate the statistics.
+
+    The batch is cut into shards, each shard is submitted to a
+    :class:`~repro.align.parallel.WorkerPool` and the replies are merged
+    in input order, so results, stats and ordering are byte-identical
+    for every worker count.
 
     Args:
         pairs: (pattern, text) tuples, :class:`SequencePair` objects, a
@@ -142,12 +149,12 @@ def align_batch(
         traceback: compute full alignments (vs distance only).
         validate: additionally replay every alignment against its sequences
             (raises on any inconsistency — a thorough self-check mode).
-        workers: worker processes.  Every batch runs through
-            :func:`repro.align.parallel.align_batch_sharded`: ``1``
-            (default) aligns the shards serially in process, ``>1`` fans
-            them out over a pool, with byte-identical results, stats, and
-            ordering.
-        shard_size: pairs per shard.
+        workers: worker processes; ``1`` (default) aligns in process,
+            ``None`` uses the host CPU count.  A borrowed ``pool`` brings
+            its own count.  A non-picklable aligner or a platform without
+            process support falls back to in-process execution, named in
+            ``telemetry.fallback_reason``/``telemetry.executor``.
+        shard_size: pairs per shard (default ``DEFAULT_SHARD_SIZE``).
         backend: kernel backend override (name or
             :class:`~repro.align.backends.KernelBackend`); rebinds the
             aligner via :meth:`~repro.align.base.Aligner.with_backend`
@@ -155,16 +162,91 @@ def align_batch(
             pool workers.  Raises
             :class:`~repro.align.base.AlignerError` for aligners without
             a pluggable kernel.
+        pool: an existing warm :class:`~repro.align.parallel.WorkerPool`
+            to run on — the batch skips pool spin-up and leaves the pool
+            open for the next caller.  ``None`` creates an ephemeral pool
+            for this batch and closes it afterwards.
+
+    Raises:
+        WorkerLost: a pool worker died before its shard replied.  The
+            pool has rebuilt itself, so a borrowed pool stays usable; for
+            retries use :func:`repro.resilience.align_batch_resilient`.
 
     The returned :class:`BatchResult` always carries a
     :attr:`~BatchResult.telemetry` record with the measured wall time.
     """
     if backend is not None:
         aligner = aligner.with_backend(backend)
-    from .parallel import align_batch_sharded
+    if pool is not None:
+        workers = pool.workers
+    elif workers is None:
+        workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    if shard_size is None:
+        shard_size = DEFAULT_SHARD_SIZE
+    shards = iter_shards(pairs, shard_size)
+    start = time.perf_counter()
 
-    return align_batch_sharded(
-        aligner, pairs,
-        workers=workers, shard_size=shard_size,
-        traceback=traceback, validate=validate,
+    pickling_failure = _pickling_failure(aligner) if workers > 1 else None
+    inline = (
+        workers == 1
+        or pickling_failure is not None
+        or (pool is not None and (pool.closed or not pool.process_mode))
+    )
+    if inline or pool is None:
+        runner = WorkerPool(1 if inline else workers)
+    else:
+        runner = pool
+    batch = BatchResult()
+    telemetry = BatchTelemetry(
+        workers=workers,
+        shard_size=shard_size,
+        executor=runner.method or ("inline" if workers > 1 else "serial"),
+        fallback_reason=pickling_failure,
+        backend=getattr(getattr(aligner, "backend", None), "name", None),
+    )
+    want_obs = runner.process_mode and obs.enabled()
+    window = SHARDS_IN_FLIGHT_PER_WORKER * runner.workers
+    in_flight: Deque = deque()
+    token = dsan.batch_begin()
+    try:
+        with obs.span("batch.align", workers=workers):
+            for shard in shards:
+                payload = (aligner, shard, traceback, validate, want_obs)
+                in_flight.append(runner.submit(_align_shard, payload))
+                if len(in_flight) == window:
+                    _merge_shard(batch, telemetry, runner, in_flight.popleft())
+            while in_flight:
+                _merge_shard(batch, telemetry, runner, in_flight.popleft())
+    finally:
+        if runner is not pool:
+            runner.close()
+        dsan.batch_end(token, "align_batch")
+    obs.inc("batch.runs")
+    obs.inc("batch.pairs", batch.pairs)
+
+    telemetry.wall_seconds = time.perf_counter() - start
+    batch.telemetry = telemetry
+    return batch
+
+
+def _merge_shard(
+    batch: BatchResult,
+    telemetry: BatchTelemetry,
+    pool: WorkerPool,
+    handle,
+) -> None:
+    """Wait for the oldest shard in flight and append it in input order."""
+    results, stats, seconds, worker, buffers = pool.wait(handle)
+    _absorb_obs_buffers(buffers)
+    batch.results.extend(results)
+    batch.stats.merge(stats)
+    telemetry.shards.append(
+        ShardTelemetry(
+            index=len(telemetry.shards),
+            pairs=len(results),
+            wall_seconds=seconds,
+            worker=worker if pool.process_mode else "inline",
+        )
     )

@@ -96,12 +96,6 @@ def append_run(runs: List[Run], op: str, length: int) -> None:
         runs.append((op, length))
 
 
-def extend_runs(dst: List[Run], src: Sequence[Run]) -> None:
-    """Append ``src`` runs onto ``dst`` in place, coalescing the seam."""
-    for op, length in src:
-        append_run(dst, op, length)
-
-
 def trim_insertion_flanks(
     ops: Sequence[str],
 ) -> Tuple[List[str], int, int]:
@@ -241,13 +235,6 @@ def canonicalize_ops(
         )  # pragma: no cover - the DP invariant guarantees a step
     out.reverse()
     return out
-
-
-def _merge_runs(runs: Sequence[Run]) -> List[Run]:
-    merged: List[Run] = []
-    for op, length in runs:
-        append_run(merged, op, length)
-    return merged
 
 
 def canonical_cigar(pattern: str, text: str, ops: Sequence[str]) -> str:

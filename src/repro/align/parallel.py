@@ -1,13 +1,16 @@
-"""Sharded parallel batch alignment (inter-sequence parallelism, §7.2).
+"""Sharded parallel batch execution (inter-sequence parallelism, §7.2).
 
 The paper scales GMX across pairs, not within one alignment: 16 cores,
 each with a private GMX unit, split a read set and meet only at the memory
 controllers.  This module is the software analogue for the functional
-harness — it partitions any pair iterable into shards, fans the shards out
-over a ``multiprocessing`` pool, and merges per-shard results and
-:class:`~repro.align.base.KernelStats` back in input order, so a parallel
-run is observationally identical to :func:`repro.align.batch.align_batch`
-run serially (same results, same stats, same ordering).
+harness: :func:`iter_shards` cuts any pair iterable into shards,
+:class:`WorkerPool` runs each shard (:func:`_align_shard`) in a worker
+process or inline, and :class:`BatchTelemetry` records how the run went.
+:func:`repro.align.batch.align_batch` is the one plain entry point over
+it: it submits every shard with :meth:`WorkerPool.submit` and merges the
+replies from :meth:`WorkerPool.wait` in input order, so a parallel run is
+observationally identical to a serial one (same results, same stats,
+same ordering).
 
 Three properties the engine guarantees:
 
@@ -16,10 +19,16 @@ Three properties the engine guarantees:
   input order and every stat reduction is order-insensitive.
 * **Streaming** — the input may be a generator (e.g.
   :func:`repro.workloads.seqio.iter_pairs`); shards are cut lazily with
-  ``islice`` and the dataset is never materialised in the parent.
+  ``islice``, only as the window of shards in flight drains, and the
+  dataset is never materialised in the parent.
 * **Graceful degradation** — ``workers=1``, a non-picklable aligner, or a
   platform without ``fork``/``spawn`` all fall back to a deterministic
   in-process execution of the same sharded code path.
+
+:meth:`WorkerPool.wait` is the one place that decides a worker was lost,
+for plain batches and every other caller alike.  A plain batch fails fast
+with :class:`WorkerLost`; the supervised engine
+(:func:`repro.resilience.align_batch_resilient`) retries the shard.
 
 Every run records a :class:`BatchTelemetry`: wall time, per-shard timings,
 worker utilisation, and pairs/second.  These are *measured host* numbers —
@@ -30,6 +39,7 @@ modelled cycle counts, which remain the source of all reported figures.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import os
@@ -37,12 +47,13 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..analysis.sanitizer import runtime as dsan
 from ..obs import runtime as obs
 from .base import Aligner, AlignmentResult, KernelStats, ResilienceCounters
-from .batch import BatchResult, PairLike, _as_pair
+
+#: Accepted pair forms: (pattern, text) tuples or SequencePair-like objects.
+PairLike = Union[Tuple[str, str], "object"]
 
 #: Pairs per shard when the caller does not choose (big enough to amortise
 #: pickling/IPC, small enough to load-balance across a 16-worker pool).
@@ -152,6 +163,20 @@ class BatchTelemetry:
         if self.wall_seconds <= 0:
             return float("inf") if other.wall_seconds > 0 else 1.0
         return other.wall_seconds / self.wall_seconds
+
+
+def _as_pair(item: PairLike) -> Tuple[str, str]:
+    if isinstance(item, tuple):
+        pattern, text = item
+        return pattern, text
+    pattern = getattr(item, "pattern", None)
+    text = getattr(item, "text", None)
+    if pattern is None or text is None:
+        raise TypeError(
+            f"batch items must be (pattern, text) tuples or carry "
+            f".pattern/.text attributes, got {type(item).__name__}"
+        )
+    return pattern, text
 
 
 def iter_shards(
@@ -340,11 +365,24 @@ def _pool_worker_init() -> None:
 @functools.lru_cache(maxsize=None)
 def _pool_class():
     """``multiprocessing.Pool`` whose ``terminate()`` survives a worker
-    killed while idle (built lazily: ``import repro`` stays free of
-    multiprocessing)."""
+    killed while idle or while sending its reply (built lazily:
+    ``import repro`` stays free of multiprocessing)."""
     from multiprocessing.pool import Pool
 
     class _Pool(Pool):
+        @classmethod
+        def _terminate_pool(cls, taskqueue, inqueue, outqueue, *rest):
+            # A worker SIGKILLed while sending its reply never releases
+            # the result queue's write lock, and the stock teardown puts
+            # its sentinel under that lock.  A live sender holds it for
+            # a moment, so one still held after a second is that orphan.
+            lock = outqueue._wlock  # None where pipe writes are atomic
+            if lock is not None:
+                lock.acquire(timeout=1.0)
+                with contextlib.suppress(ValueError):  # released meanwhile
+                    lock.release()
+            super()._terminate_pool(taskqueue, inqueue, outqueue, *rest)
+
         @staticmethod
         def _help_stuff_finish(inqueue, task_handler, size):
             # An idle worker waits for its next task holding the task
@@ -362,21 +400,22 @@ def _pool_class():
 class WorkerPool:
     """A reusable worker-pool handle: create once, submit many, close once.
 
-    This is the shared pool lifecycle behind both the one-shot batch API
-    (:func:`align_batch_sharded` creates an ephemeral pool per call) and
-    the long-lived alignment service (:mod:`repro.serve` creates one warm
-    pool at startup and reuses it across requests).  The handle wraps a
-    ``multiprocessing.Pool`` when a start method is available and degrades
-    to a deterministic in-process executor otherwise (``workers=1``, or a
-    platform without ``fork``/``spawn``).
+    Every shard executor in the package runs on this class: the plain
+    batch entry point (:func:`~repro.align.batch.align_batch` creates an
+    ephemeral pool per call, or borrows a caller's warm one), the
+    resilient engine, the alignment service (:mod:`repro.serve` creates
+    one warm pool at startup and reuses it across requests) and the dist
+    node.  The handle wraps a ``multiprocessing.Pool`` when a start method
+    is available and degrades to a deterministic in-process executor
+    otherwise (``workers=1``, or a platform without ``fork``/``spawn``).
 
     Lifecycle: :meth:`start` (optional — first submit warms lazily) →
-    :meth:`submit`/:meth:`imap` → :meth:`wait` → :meth:`rebuild` after a
-    missed deadline → :meth:`close`.  ``generation`` counts pool
-    (re)creations, so callers can tell a warm reuse from a rebuild.  Every
-    shard executor in the package — the sharded batch engine, the
-    resilient engine, the service and the dist node — runs on this class,
-    and :meth:`wait` is the one place that decides a worker was lost.
+    :meth:`submit` → :meth:`wait` → :meth:`rebuild` after a missed
+    deadline → :meth:`close`.  ``generation`` counts pool (re)creations,
+    so callers can tell a warm reuse from a rebuild.  :meth:`submit` is
+    the only way a task is dispatched and :meth:`wait` the one place that
+    decides a worker was lost: a plain batch fails fast on the loss, a
+    supervised batch retries the shard.
     """
 
     def __init__(
@@ -509,14 +548,6 @@ class WorkerPool:
             handle.wait(left)
         return handle.get(0)
 
-    def imap(self, fn: Callable, payloads: Iterable) -> Iterator:
-        """Ordered lazy map over the pool (inline: a plain generator)."""
-        with self._lock:
-            pool = self._ensure_pool()
-        if pool is None:
-            return map(fn, payloads)
-        return pool.imap(fn, payloads)
-
     def rebuild(self) -> None:
         """Tear the current pool down and start a fresh one.
 
@@ -555,131 +586,6 @@ class WorkerPool:
         self.close()
 
 
-def align_batch_sharded(
-    aligner: Aligner,
-    pairs: Iterable[PairLike],
-    *,
-    workers: Optional[int] = None,
-    shard_size: Optional[int] = None,
-    traceback: bool = True,
-    validate: bool = False,
-    start_method: Optional[str] = None,
-    pool: Optional[WorkerPool] = None,
-) -> BatchResult:
-    """Align a batch across a sharded worker pool.
-
-    Args:
-        pairs: any iterable of pair-likes — lists, :class:`PairSet`,
-            generators, :func:`~repro.workloads.seqio.iter_pairs` streams.
-        workers: worker processes; ``None`` uses the host CPU count,
-            ``1`` executes in-process (deterministic fallback).
-        shard_size: pairs per shard (default ``DEFAULT_SHARD_SIZE``).
-        traceback / validate: as in :func:`~repro.align.batch.align_batch`.
-        start_method: force a multiprocessing start method (testing hook).
-        pool: an existing warm :class:`WorkerPool` to reuse — the batch
-            runs on it without paying pool spin-up and leaves it open for
-            the next caller.  ``None`` (the one-shot path) creates an
-            ephemeral pool for this batch and closes it afterwards.
-
-    Returns:
-        A :class:`~repro.align.batch.BatchResult` whose ``results``,
-        ``stats`` and ordering are identical to a serial run, with
-        :attr:`~repro.align.batch.BatchResult.telemetry` populated.
-    """
-    if workers is None:
-        workers = pool.workers if pool is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    if shard_size is None:
-        shard_size = DEFAULT_SHARD_SIZE
-    shards = iter_shards(pairs, shard_size)
-
-    batch = BatchResult()
-    telemetry = BatchTelemetry(
-        workers=workers,
-        shard_size=shard_size,
-        backend=getattr(getattr(aligner, "backend", None), "name", None),
-    )
-    start = time.perf_counter()
-
-    pickling_failure = _pickling_failure(aligner) if workers > 1 else None
-    use_pool = workers > 1 and pickling_failure is None
-    if use_pool:
-        if pool is not None:
-            use_pool = pool.process_mode and not pool.closed
-            method = pool.method
-        else:
-            method = _resolve_start_method(start_method)
-            use_pool = method is not None
-    token = dsan.batch_begin()
-    try:
-        with obs.span("batch.align", workers=workers):
-            if use_pool:
-                telemetry.executor = method
-                _run_pool(
-                    aligner, shards, workers, method, traceback, validate,
-                    batch, telemetry, pool=pool,
-                )
-            else:
-                telemetry.executor = "inline" if workers > 1 else "serial"
-                telemetry.fallback_reason = pickling_failure
-                for index, shard in enumerate(shards):
-                    results, stats, seconds, _, _ = _align_shard(
-                        (aligner, shard, traceback, validate, False)
-                    )
-                    _merge_shard(batch, telemetry, index, results, stats,
-                                 seconds, worker="inline")
-    finally:
-        dsan.batch_end(token, "align_batch_sharded")
-    obs.inc("batch.runs")
-    obs.inc("batch.pairs", batch.pairs)
-
-    telemetry.wall_seconds = time.perf_counter() - start
-    batch.telemetry = telemetry
-    return batch
-
-
-def _run_pool(
-    aligner: Aligner,
-    shards: Iterator[List[Tuple[str, str]]],
-    workers: int,
-    method: str,
-    traceback: bool,
-    validate: bool,
-    batch: BatchResult,
-    telemetry: BatchTelemetry,
-    pool: Optional[WorkerPool] = None,
-) -> None:
-    """Fan shards out over a pool; merge completions in input order.
-
-    With ``pool=None`` an ephemeral :class:`WorkerPool` is created and
-    closed around the batch (the historical one-shot behaviour); a caller
-    pool is borrowed and left open — the warm-pool path the alignment
-    service depends on.
-    """
-    owns_pool = pool is None
-    if owns_pool:
-        pool = WorkerPool(workers, start_method=method)
-    payloads = (
-        (aligner, shard, traceback, validate, obs.enabled())
-        for shard in shards
-    )
-    try:
-        # imap preserves submission order and consumes the payload
-        # generator lazily, so streaming inputs stay streaming.
-        for index, (results, stats, seconds, worker, buffers) in enumerate(
-            pool.imap(_align_shard, payloads)
-        ):
-            _absorb_obs_buffers(buffers)
-            _merge_shard(
-                batch, telemetry, index, results, stats, seconds,
-                worker=worker,
-            )
-    finally:
-        if owns_pool:
-            pool.close()
-
-
 def _absorb_obs_buffers(buffers: ObsBuffers) -> None:
     """Merge a worker's drained spans/metrics into the parent's recorders."""
     span_buffer, metrics_payload = buffers
@@ -691,23 +597,3 @@ def _absorb_obs_buffers(buffers: ObsBuffers) -> None:
         from ..obs.metrics import snapshot_from_dict
 
         obs.metrics().absorb(snapshot_from_dict(metrics_payload))
-
-
-def _merge_shard(
-    batch: BatchResult,
-    telemetry: BatchTelemetry,
-    index: int,
-    results: List[AlignmentResult],
-    stats: KernelStats,
-    seconds: float,
-    *,
-    worker: str,
-) -> None:
-    batch.results.extend(results)
-    batch.stats.merge(stats)
-    telemetry.shards.append(
-        ShardTelemetry(
-            index=index, pairs=len(results), wall_seconds=seconds,
-            worker=worker,
-        )
-    )

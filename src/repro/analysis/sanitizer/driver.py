@@ -158,15 +158,13 @@ def _guarded_execution(
 ) -> None:
     """Run the parallel and resilient engines under an armed session."""
     from ...align.full_gmx import FullGmxAligner
-    from ...align.parallel import align_batch_sharded
+    from ...align.batch import align_batch
     from ...resilience.engine import align_batch_resilient
 
     aligner = FullGmxAligner(tile_size=tile_size)
     try:
         with sanitize() as session:
-            align_batch_sharded(
-                aligner, pairs, workers=workers, shard_size=4
-            )
+            align_batch(aligner, pairs, workers=workers, shard_size=4)
             align_batch_resilient(aligner, pairs, workers=1, shard_size=4)
             report.session = session.summary()
     except SanitizerError as exc:

@@ -6,7 +6,7 @@ identical* to a serial one — same scores, same CIGARs, same merged
 analysis and the runtime guards police the known ways that promise
 breaks; shadow execution checks the promise itself, end to end:
 
-1. run the batch through :func:`~repro.align.parallel.align_batch_sharded`
+1. run the batch through :func:`~repro.align.batch.align_batch`
    with the requested worker count;
 2. draw a seeded sample of shard indices (``random.Random(seed)``, so a
    failing sample replays exactly);
@@ -234,7 +234,7 @@ def shadow_execute(
         pairs: the batch, as ``(pattern, text)`` tuples (materialised —
             shadowing needs to re-read shards).
         workers / shard_size: forwarded to
-            :func:`~repro.align.parallel.align_batch_sharded`.
+            :func:`~repro.align.batch.align_batch`.
         sample: maximum number of shards to re-execute serially (all of
             them when the batch has fewer).
         seed: sample-selection seed; the same seed re-checks the same
@@ -244,11 +244,12 @@ def shadow_execute(
     Returns:
         A :class:`ShadowReport`; ``report.clean`` is the verdict.
     """
-    from ...align.parallel import DEFAULT_SHARD_SIZE, align_batch_sharded
+    from ...align.batch import align_batch
+    from ...align.parallel import DEFAULT_SHARD_SIZE
 
     pair_list: List[Pair] = [(str(p), str(t)) for p, t in pairs]
     size = shard_size if shard_size is not None else DEFAULT_SHARD_SIZE
-    batch = align_batch_sharded(
+    batch = align_batch(
         aligner,
         pair_list,
         workers=workers,
@@ -285,7 +286,7 @@ def shadow_execute(
 
         def diverges(candidate: Sequence[Pair]) -> bool:
             serial = _serial_shard(shadow_aligner, candidate, traceback)
-            rerun = align_batch_sharded(
+            rerun = align_batch(
                 aligner,
                 list(candidate),
                 workers=workers,

@@ -403,8 +403,3 @@ class _Checker:
                 "produce the edge with an earlier gmx.v/gmx.h/csrr, or use "
                 "x0 for an all-zero boundary",
             )
-
-
-def verify_events_clean(events: List[IsaEvent], *, tile_size: int) -> bool:
-    """True when a retired stream verifies with no diagnostics at all."""
-    return not verify_trace(events, tile_size=tile_size)

@@ -132,7 +132,6 @@ class NodeSupervisor:
         *,
         workers: int = 1,
         host: str = "127.0.0.1",
-        start_method: Optional[str] = None,
     ) -> None:
         self.aligner = aligner
         self.name = name
@@ -142,7 +141,7 @@ class NodeSupervisor:
         self.incarnation = 0
         self.respawns = 0
         self.process: Optional[multiprocessing.Process] = None
-        self._method = _resolve_start_method(start_method)
+        self._method = _resolve_start_method(None)
         self._lock = threading.Lock()
 
     @property

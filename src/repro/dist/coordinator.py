@@ -46,7 +46,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from ..align.base import Aligner, KernelStats
-from ..align.batch import BatchResult, PairLike
+from ..align.batch import PairLike
 from ..align.parallel import (
     DEFAULT_SHARD_SIZE,
     BatchTelemetry,
@@ -57,6 +57,7 @@ from ..align.parallel import (
 from ..common.retry import RetryPolicy
 from ..obs import runtime as obs
 from ..resilience.checkpoint import CheckpointJournal
+from ..resilience.injectors import shard_checksum
 from ..serve.cache import aligner_fingerprint
 from .packing import PackedShard, pack_shards, pick_node
 from .protocol import (
@@ -65,12 +66,7 @@ from .protocol import (
     ProtocolError,
     ShardCompletion,
     ShardRequest,
-    shard_checksum,
 )
-
-
-class NoUsableNodeError(DistError):
-    """Every node is dead or quarantined (internal fallback trigger)."""
 
 
 @dataclass(frozen=True)
@@ -233,14 +229,6 @@ class DistBatchResult:
     @property
     def pairs(self) -> int:
         return len(self.results)
-
-    def as_batch_result(self) -> BatchResult:
-        """The plain engine-compatible view (for byte-identity checks)."""
-        return BatchResult(
-            results=list(self.results),
-            stats=self.stats.copy(),
-            telemetry=self.telemetry,
-        )
 
     def accounted(self) -> bool:
         """True when every planned fault reached a terminal outcome."""

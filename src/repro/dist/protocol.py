@@ -214,14 +214,3 @@ class ShardCompletion:
         ) as exc:
             raise ProtocolError(f"malformed shard completion: {exc}") from exc
 
-
-def shard_checksum(pairs: List[Tuple[str, str]]) -> int:
-    """Order-sensitive CRC over a shard's pairs (mirrors the engine's)."""
-    from ..resilience.injectors import pair_checksum
-
-    checksum = 0
-    for pattern, text in pairs:
-        checksum = (
-            checksum * 1000003 + pair_checksum(pattern, text)
-        ) & 0xFFFFFFFF
-    return checksum

@@ -34,17 +34,17 @@ import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from ..align.base import Aligner
 from ..align.parallel import WorkerPool, _align_shard
+from ..resilience.injectors import shard_checksum
 from ..serve.cache import aligner_fingerprint
 from .protocol import (
     DistError,
     ProtocolError,
     ShardCompletion,
     ShardRequest,
-    shard_checksum,
 )
 
 #: Refuse request bodies larger than this.
@@ -61,12 +61,11 @@ class DistWorker:
         node: str,
         incarnation: int = 1,
         workers: int = 1,
-        start_method: Optional[str] = None,
     ) -> None:
         self.aligner = aligner
         self.node = node
         self.incarnation = incarnation
-        self.pool = WorkerPool(workers, start_method=start_method)
+        self.pool = WorkerPool(workers)
         self.fingerprint = aligner_fingerprint(aligner)
         self._lock = threading.Lock()
         self.shards_done = 0
@@ -243,7 +242,6 @@ def running_worker(
     workers: int = 1,
     host: str = "127.0.0.1",
     port: int = 0,
-    start_method: Optional[str] = None,
 ) -> Iterator[Tuple[DistWorker, str]]:
     """Run a worker node on a background thread (tests / embedding).
 
@@ -254,7 +252,6 @@ def running_worker(
         node=node,
         incarnation=incarnation,
         workers=workers,
-        start_method=start_method,
     )
     server = DistWorkerServer((host, port), worker)
     thread = threading.Thread(
@@ -281,7 +278,6 @@ def run_worker(
     node: str = "node",
     incarnation: int = 1,
     workers: int = 1,
-    start_method: Optional[str] = None,
     on_bound=None,
 ) -> None:
     """Run a worker node in the foreground (the ``repro dist worker`` CLI).
@@ -295,7 +291,6 @@ def run_worker(
         node=node,
         incarnation=incarnation,
         workers=workers,
-        start_method=start_method,
     )
     server = None
     # A respawned node rebinds the port its predecessor just died on;
@@ -328,7 +323,6 @@ def _worker_entry(
     node: str,
     incarnation: int,
     workers: int,
-    start_method: Optional[str] = None,
 ) -> None:
     """``multiprocessing.Process`` target for a supervised worker node.
 
@@ -347,6 +341,5 @@ def _worker_entry(
         node=node,
         incarnation=incarnation,
         workers=workers,
-        start_method=start_method,
         on_bound=_on_bound,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 
 class MetricsError(ValueError):
@@ -303,22 +303,3 @@ def snapshot_from_dict(payload: dict) -> MetricsSnapshot:
         histograms=histograms,
     )
 
-
-def format_metrics(
-    snapshot: MetricsSnapshot, names: Optional[List[str]] = None
-) -> str:
-    """Small text rendering (CLI footer): counters + histogram means."""
-    lines = []
-    for name in sorted(snapshot.counters):
-        if names is not None and name not in names:
-            continue
-        lines.append(f"{name}={snapshot.counters[name]}")
-    for name in sorted(snapshot.histograms):
-        if names is not None and name not in names:
-            continue
-        hist = snapshot.histograms[name]
-        lines.append(
-            f"{name}: n={hist.count} mean={hist.mean_ns / 1e6:.3f}ms "
-            f"max={hist.max_ns / 1e6:.3f}ms"
-        )
-    return "\n".join(lines)

@@ -21,9 +21,9 @@ crash, hang, return garbage, or the (modelled) hardware corrupts values:
   replay validation.
 * **bisection → fallback → quarantine** — a shard that exhausts its
   retries is split in half to isolate the poison; a single pair that
-  still fails is re-aligned with the ``fallback`` aligner (BPM by
-  default); if even that fails the pair is quarantined and reported,
-  never silently dropped and never allowed to abort the batch.
+  still fails is re-aligned with the bit-parallel BPM baseline; if even
+  that fails the pair is quarantined and reported, never silently
+  dropped and never allowed to abort the batch.
 * **checkpoint/resume** — with ``checkpoint=<path>``, completed shards
   are journalled (:mod:`.checkpoint`); a rerun resumes from the journal
   and produces the same :class:`~repro.align.batch.BatchResult`.
@@ -39,8 +39,8 @@ import contextlib
 import os
 import pickle
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..align.base import (
     Aligner,
@@ -55,13 +55,13 @@ from ..align.parallel import (
     ShardTelemetry,
     WorkerLost,
     WorkerPool,
+    _absorb_obs_buffers,
     _pickling_failure,
     iter_shards,
 )
 from ..common.retry import RetryPolicy
 from ..core.cigar import AlignmentError
 from ..obs import runtime as obs
-from ..obs.metrics import snapshot_from_dict
 from .checkpoint import CheckpointJournal
 from .faults import FaultError, FaultPlan, FaultSpec
 from .injectors import (
@@ -69,7 +69,7 @@ from .injectors import (
     HardwareFaultInjector,
     apply_worker_fault,
     corrupt_pair,
-    pair_checksum,
+    shard_checksum,
 )
 
 #: Deadline applied when a fault plan is present but none was chosen —
@@ -210,13 +210,6 @@ class _Done:
     elapsed: float
     worker: str
     resumed: bool = False
-
-
-def _shard_checksum(pairs: Sequence[Tuple[str, str]]) -> int:
-    checksum = 0
-    for pattern, text in pairs:
-        checksum = (checksum * 1000003 + pair_checksum(pattern, text)) & 0xFFFFFFFF
-    return checksum
 
 
 def _verify_result(
@@ -372,7 +365,7 @@ def _execute_item_body(aligner: Aligner, task: _ShardTask) -> _ShardReply:
             results.append(result)
     return _ShardReply(
         results=results,
-        checksum=_shard_checksum(pairs),
+        checksum=shard_checksum(pairs),
         elapsed=time.perf_counter() - start,
         poison=poison,
         fired=tuple(fired),
@@ -456,10 +449,8 @@ class _Supervisor:
         cross_check: bool,
         retry: RetryPolicy,
         shard_timeout: Optional[float],
-        slow_threshold: Optional[float],
         plan: Optional[FaultPlan],
         journal: Optional[CheckpointJournal],
-        fallback: Optional[Aligner],
         inline: bool,
     ):
         self.aligner = aligner
@@ -469,10 +460,12 @@ class _Supervisor:
         self.cross_check = cross_check
         self.retry = retry
         self.shard_timeout = shard_timeout
-        self.slow_threshold = slow_threshold
+        #: A successful shard slower than this counts as *slow*.
+        self.slow_threshold = (
+            shard_timeout * 0.5 if shard_timeout is not None else None
+        )
         self.plan = plan
         self.journal = journal
-        self._fallback = fallback
         self.counters = ResilienceCounters()
         self.ledger: Dict[int, FaultRecord] = {}
         if plan is not None:
@@ -508,7 +501,7 @@ class _Supervisor:
             lo=lo,
             hi=lo + len(shard),
             pairs=shard,
-            checksum=_shard_checksum(shard),
+            checksum=shard_checksum(shard),
         )
 
     def next_ready(self, now: float) -> Optional[_WorkItem]:
@@ -595,11 +588,7 @@ class _Supervisor:
         self._on_success(item, payload)
 
     def _on_success(self, item: _WorkItem, reply: _ShardReply) -> None:
-        if obs.enabled():
-            if reply.spans:
-                obs.recorder().absorb(list(reply.spans))
-            if reply.metrics:
-                obs.metrics().absorb(snapshot_from_dict(reply.metrics))
+        _absorb_obs_buffers((list(reply.spans), reply.metrics))
         slow_hit = (
             self.slow_threshold is not None
             and reply.elapsed > self.slow_threshold
@@ -661,7 +650,7 @@ class _Supervisor:
                         lo=lo,
                         hi=hi,
                         pairs=pairs,
-                        checksum=_shard_checksum(pairs),
+                        checksum=shard_checksum(pairs),
                         ready_at=time.monotonic(),
                     )
                 )
@@ -669,12 +658,15 @@ class _Supervisor:
         self._degrade(item, failure)
 
     def _degrade(self, item: _WorkItem, failure: _ShardFailure) -> None:
+        from ..baselines.bpm import BpmAligner
+
         pattern, text = item.pairs[0]
         targeting = (
             self.plan.for_pairs(item.lo, item.hi) if self.plan else ()
         )
+        fallback = BpmAligner()
         try:
-            result = self.fallback.align(
+            result = fallback.align(
                 pattern, text, traceback=self.traceback
             )
             if (
@@ -687,7 +679,7 @@ class _Supervisor:
             obs.inc("resilience.quarantined_pairs")
             reason = (
                 f"primary: {failure.kind}: {failure.detail}; fallback "
-                f"{type(self.fallback).__name__}: "
+                f"{type(fallback).__name__}: "
                 f"{type(exc).__name__}: {exc}"
             )
             for spec in targeting:
@@ -715,20 +707,12 @@ class _Supervisor:
             record = self.ledger[spec.fault_id]
             record.outcome = "degraded"
             record.detail = (
-                f"pair recovered via {type(self.fallback).__name__} after "
+                f"pair recovered via {type(fallback).__name__} after "
                 f"{failure.kind}"
             )
         self.complete(
             item, [result], [], elapsed=0.0, worker="fallback"
         )
-
-    @property
-    def fallback(self) -> Aligner:
-        if self._fallback is None:
-            from ..baselines.bpm import BpmAligner
-
-            self._fallback = BpmAligner()
-        return self._fallback
 
     def complete(
         self,
@@ -807,13 +791,9 @@ def align_batch_resilient(
     cross_check: bool = False,
     max_retries: Optional[int] = None,
     shard_timeout: Optional[float] = None,
-    slow_threshold: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     checkpoint: Optional[str] = None,
     journal_meta: Optional[dict] = None,
-    fallback: Optional[Aligner] = None,
-    start_method: Optional[str] = None,
 ) -> ResilientBatchResult:
     """Align a batch under supervision: deadlines, retries, quarantine.
 
@@ -831,15 +811,13 @@ def align_batch_resilient(
             comparison, alignment replay validation, and (for tracing
             GMX aligners) the static program verifier.  This is the
             detection layer for silent compute corruption.
-        max_retries: attempts after the first, per work item
-            (overrides ``retry.max_retries``).
+        max_retries: attempts after the first, per work item (default
+            :class:`RetryPolicy`'s), with its seeded exponential backoff.
         shard_timeout: per-attempt deadline in seconds.  A process-mode
             attempt past it is terminated with its pool, which is rebuilt;
             inline attempts are rejected after the fact.  Defaults to
-            :data:`DEFAULT_CHAOS_TIMEOUT` when a fault plan is present.
-        slow_threshold: elapsed seconds above which a successful shard
-            counts as *slow* (default: half the deadline).
-        retry: full backoff policy (see :class:`RetryPolicy`).
+            :data:`DEFAULT_CHAOS_TIMEOUT` when a fault plan is present.  A
+            successful shard slower than half of it counts as *slow*.
         fault_plan: planned faults to inject (chaos campaigns).
         checkpoint: journal path for checkpoint/resume
             (:mod:`.checkpoint`); an existing compatible journal is
@@ -849,8 +827,6 @@ def align_batch_resilient(
             traceback flag (e.g. the stream pipeline's chunk geometry)
             add it here so a journal written under different parameters
             is rejected on resume instead of silently replayed.
-        fallback: aligner of last resort for poison pairs (default BPM).
-        start_method: force a multiprocessing start method.
 
     Returns:
         A :class:`ResilientBatchResult`; ``telemetry.resilience`` holds
@@ -862,23 +838,24 @@ def align_batch_resilient(
         raise ValueError(f"workers must be positive, got {workers}")
     if shard_size is None:
         shard_size = DEFAULT_SHARD_SIZE
-    policy = retry if retry is not None else RetryPolicy()
-    if max_retries is not None:
-        policy = replace(policy, max_retries=max_retries)
+    policy = (
+        RetryPolicy() if max_retries is None
+        else RetryPolicy(max_retries=max_retries)
+    )
     if policy.max_retries < 0:
         raise ValueError(
             f"max_retries must be >= 0, got {policy.max_retries}"
         )
     if shard_timeout is None and fault_plan is not None:
         shard_timeout = DEFAULT_CHAOS_TIMEOUT
-    if slow_threshold is None and shard_timeout is not None:
-        slow_threshold = shard_timeout * 0.5
 
     pickling_failure = _pickling_failure(aligner) if workers > 1 else None
     journal = None
     if checkpoint is not None:
+        from ..serve.cache import aligner_fingerprint
+
         meta = {
-            "aligner": type(aligner).__name__,
+            "aligner": aligner_fingerprint(aligner),
             "traceback": traceback,
             "plan": fault_plan.fingerprint if fault_plan else None,
         }
@@ -891,9 +868,7 @@ def align_batch_resilient(
             meta.update(journal_meta)
         journal = CheckpointJournal(checkpoint, meta)
 
-    pool = WorkerPool(
-        1 if pickling_failure else workers, start_method=start_method
-    )
+    pool = WorkerPool(1 if pickling_failure else workers)
     inline = not pool.process_mode
     supervisor = _Supervisor(
         aligner,
@@ -903,10 +878,8 @@ def align_batch_resilient(
         cross_check=cross_check,
         retry=policy,
         shard_timeout=shard_timeout,
-        slow_threshold=slow_threshold,
         plan=fault_plan,
         journal=journal,
-        fallback=fallback,
         inline=inline,
     )
 

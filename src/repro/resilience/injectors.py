@@ -40,6 +40,16 @@ def pair_checksum(pattern: str, text: str) -> int:
     return zlib.crc32(pattern.encode() + b"\x00" + text.encode())
 
 
+def shard_checksum(pairs: Sequence[Tuple[str, str]]) -> int:
+    """Order-sensitive checksum of a shard's pairs (folded pair CRCs)."""
+    checksum = 0
+    for pattern, text in pairs:
+        checksum = (
+            checksum * 1000003 + pair_checksum(pattern, text)
+        ) & 0xFFFFFFFF
+    return checksum
+
+
 class HardwareFaultInjector:
     """One armed hardware fault, in ISA fault-hook form.
 

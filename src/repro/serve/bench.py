@@ -239,17 +239,16 @@ def _measure_cold(
     aligner,
     *,
     workers: int,
-    start_method: Optional[str],
+    method: Optional[str],
 ) -> int:
     """p50 of spinning a fresh pool per request — the cost serving avoids."""
     samples = []
-    method = _cold_start_method(start_method)
     for pattern, text in probes:
         start = time.perf_counter_ns()
         pool = WorkerPool(workers, start_method=method)
         try:
             payload = (aligner, [(pattern, text)], True, False, False)
-            pool.submit(_align_shard, payload).get(timeout=120)
+            pool.wait(pool.submit(_align_shard, payload), timeout=120)
         finally:
             pool.close()
         samples.append(time.perf_counter_ns() - start)
@@ -269,7 +268,6 @@ def run_serve_bench(
     coalesce_window: float = 0.002,
     max_inflight: int = 512,
     warm_cold_probes: int = 5,
-    start_method: Optional[str] = None,
     aligner=None,
 ) -> ServeBenchReport:
     """Boot a server, run the seeded load schedule, measure, tear down."""
@@ -292,7 +290,6 @@ def run_serve_bench(
         cache_size=cache_size,
         coalesce_window=coalesce_window,
         max_inflight=max_inflight,
-        start_method=start_method,
     )
     service = AlignmentService(aligner, config=config)
     latencies: List[int] = []
@@ -337,7 +334,7 @@ def run_serve_bench(
                 probes,
                 service.aligner,
                 workers=workers,
-                start_method=service.pool.method,
+                method=_cold_start_method(service.pool.method),
             )
     leaked = len(multiprocessing.active_children())
     return ServeBenchReport(

@@ -30,10 +30,6 @@ from ..workloads.generator import generate_pair_set
 from .service import AlignmentService, ServeConfig
 
 
-class ServeChaosError(RuntimeError):
-    """Raised when the chaos drill cannot run (no process pool)."""
-
-
 @dataclass
 class ServeChaosReport:
     """Outcome of one serving chaos drill."""
@@ -82,7 +78,6 @@ def run_serve_chaos(
     workers: int = 2,
     length: int = 96,
     error_rate: float = 0.08,
-    start_method: Optional[str] = None,
 ) -> ServeChaosReport:
     """Kill a worker under live serving load; verify nothing was lost."""
     pair_set = generate_pair_set(
@@ -100,7 +95,6 @@ def run_serve_chaos(
         coalesce_window=0.001,
         coalesce_max_pairs=4,  # many small shards -> a live backlog to hit
         max_inflight=max(pairs * 2, 64),
-        start_method=start_method,
     )
     service = AlignmentService(FullGmxAligner(), config=config)
     with service:

@@ -139,7 +139,6 @@ class ServeConfig:
             second (0 disables rate limiting).
         rate_limit_burst: per-client bucket capacity in pairs (0 means
             ``max(coalesce_max_pairs, rate_limit_rps)``).
-        start_method: multiprocessing start method override (testing hook).
     """
 
     workers: int = 1
@@ -151,7 +150,6 @@ class ServeConfig:
     retry_after: float = 0.25
     rate_limit_rps: float = 0.0
     rate_limit_burst: float = 0.0
-    start_method: Optional[str] = None
 
 
 #: Collector-queue sentinel (shutdown).
@@ -198,9 +196,7 @@ class AlignmentService:
                 # inline rather than fail every request at dispatch.
                 self.fallback_reason = failure
                 workers = 1
-        self.pool = WorkerPool(
-            workers, start_method=self.config.start_method
-        )
+        self.pool = WorkerPool(workers)
         self.cache = AlignmentCache(self.config.cache_size)
         # Imported here, not at module top: ratelimit derives its error
         # from ServeError, so the modules would import-cycle otherwise.

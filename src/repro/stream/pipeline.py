@@ -21,7 +21,7 @@ Engine matrix (``engine=``):
 name       executes chunks via                            extras
 ========== ============================================= ==============
 serial     in-process loop (the dsan-rooted chunk body)   strict O(chunk)
-pool       ``align_batch_sharded`` worker pool            ``workers``/``pool``
+pool       ``align_batch`` on a ``WorkerPool``            ``workers``/``pool``
 resilient  ``align_batch_resilient``                      ``checkpoint`` +
                                                           chunk provenance
 dist       ``repro.dist`` coordinator                     ``dist_nodes``
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Union
 
 from ..align.base import Aligner, KernelStats
-from ..align.parallel import WorkerPool, align_batch_sharded
+from ..align.batch import align_batch
+from ..align.parallel import WorkerPool
 from ..baselines.edlib_like import EdlibAligner
 from ..mapper.windows import QuerySketch
 from ..obs import runtime as obs
@@ -595,7 +596,7 @@ def _run_batch_engine(
 ):
     """Execute the chunk-job pair stream on the selected batch engine."""
     if engine == "pool":
-        batch = align_batch_sharded(
+        batch = align_batch(
             aligner,
             pairs,
             workers=workers,

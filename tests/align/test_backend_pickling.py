@@ -17,7 +17,6 @@ from repro.align import (
     FullGmxAligner,
     WindowedGmxAligner,
     align_batch,
-    align_batch_sharded,
 )
 from repro.align.backends import backend_names, get_backend
 from repro.workloads import generate_pair_set
@@ -62,7 +61,7 @@ def test_configured_aligner_round_trips(cls, backend_name):
 def test_pool_run_with_bitpar_matches_serial_pure():
     pairs = generate_pair_set("pickle-pool", 90, 0.08, 8, seed=19)
     reference = align_batch(FullGmxAligner(), list(pairs))
-    batch = align_batch_sharded(
+    batch = align_batch(
         FullGmxAligner(backend="bitpar"), list(pairs), workers=2, shard_size=3
     )
     # The run must have used a real pool — a silent inline fallback would

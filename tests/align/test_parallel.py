@@ -5,22 +5,34 @@ results, merged stats, and ordering identical to the serial loop — the
 only observable difference is the telemetry record.
 """
 
+import contextlib
+import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
+from repro import obs
 from repro.align import (
     BatchTelemetry,
     FullGmxAligner,
+    WorkerLost,
+    WorkerPool,
     align_batch,
-    align_batch_sharded,
     iter_shards,
 )
+from repro.align.batch import SHARDS_IN_FLIGHT_PER_WORKER
 from repro.baselines import NeedlemanWunschAligner
 from repro.workloads import generate_pair_set, save_pairs
 from repro.workloads.seqio import iter_pairs
 
 WORKER_COUNTS = (1, 2, 4)
+
+needs_processes = pytest.mark.skipif(
+    not multiprocessing.get_all_start_methods(),
+    reason="no multiprocessing start method available",
+)
 
 
 def _dataset(count=12, length=90, seed=11):
@@ -156,19 +168,14 @@ class TestSharding:
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            align_batch_sharded(FullGmxAligner(), [], workers=0)
+            align_batch(FullGmxAligner(), [], workers=0)
 
     def test_rejects_unknown_start_method(self):
         with pytest.raises(ValueError):
-            align_batch_sharded(
-                FullGmxAligner(),
-                [("ACGT", "ACGT")],
-                workers=2,
-                start_method="bogus",
-            )
+            WorkerPool(2, start_method="bogus")
 
     def test_default_workers_uses_host_cpus(self):
-        batch = align_batch_sharded(FullGmxAligner(), _dataset(count=2))
+        batch = align_batch(FullGmxAligner(), _dataset(count=2), workers=None)
         assert batch.telemetry.workers == (os.cpu_count() or 1)
 
 
@@ -225,6 +232,121 @@ class TestTelemetry:
             ShardTelemetry(index=0, pairs=3, wall_seconds=0.0, worker="inline")
         )
         assert telemetry.pairs_per_second == float("inf")
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, instead of hang, a call still blocked after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still blocked after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class _SlowAligner(FullGmxAligner):
+    """Sleeps before every pair, so each pool worker is busy mid-batch."""
+
+    def align(self, pattern, text, traceback=True):
+        time.sleep(0.05)
+        return super().align(pattern, text, traceback=traceback)
+
+
+class _KillSelfAligner(FullGmxAligner):
+    """SIGKILLs the pool worker that aligns ``victim`` (never the test
+    process itself)."""
+
+    def __init__(self, victim, **kwargs):
+        super().__init__(**kwargs)
+        self.victim = victim
+        self.parent = os.getpid()
+
+    def align(self, pattern, text, traceback=True):
+        if pattern == self.victim and os.getpid() != self.parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().align(pattern, text, traceback=traceback)
+
+
+@needs_processes
+class TestLostWorker:
+    """A plain batch fails fast when a pool worker dies under it."""
+
+    def test_killed_worker_raises_and_the_warm_pool_recovers(self):
+        pairs = [(p.pattern, p.text) for p in _dataset(count=40)]
+        serial = align_batch(FullGmxAligner(), pairs)
+        with WorkerPool(2) as pool:
+            victim = pool.worker_pids()[0]
+
+            def feed():
+                for index, pair in enumerate(pairs):
+                    if index == 16:  # shards 0-7 cut, the window is busy
+                        os.kill(victim, signal.SIGKILL)
+                    yield pair
+
+            started = time.monotonic()
+            with _deadline(30), pytest.raises(WorkerLost):
+                align_batch(_SlowAligner(), feed(), shard_size=2, pool=pool)
+            assert time.monotonic() - started < 5
+            assert pool.rebuilds == 1
+            with _deadline(60):
+                batch = align_batch(
+                    FullGmxAligner(), pairs, shard_size=3, pool=pool
+                )
+        assert batch.results == serial.results
+        assert batch.stats == serial.stats
+        assert batch.telemetry.executor == pool.method
+
+    def test_aligner_killing_its_worker_raises_and_leaks_nothing(self):
+        pairs = [(p.pattern, p.text) for p in _dataset(count=12)]
+        aligner = _KillSelfAligner(pairs[5][0])
+        with _deadline(30), pytest.raises(WorkerLost):
+            align_batch(aligner, pairs, workers=2, shard_size=2)
+        assert multiprocessing.active_children() == []
+
+    def test_close_frees_a_result_lock_orphaned_by_a_dead_worker(self):
+        pool = WorkerPool(2).start()
+        # What a worker SIGKILLed while sending its reply leaves behind.
+        pool._pool._outqueue._wlock.acquire()
+        started = time.monotonic()
+        with _deadline(30):
+            pool.close()
+        assert time.monotonic() - started < 5
+        assert multiprocessing.active_children() == []
+
+
+@needs_processes
+def test_stream_is_cut_only_as_the_window_drains():
+    workers, shard_size, count = 2, 4, 4000
+    window = SHARDS_IN_FLIGHT_PER_WORKER * workers
+    distinct = [(p.pattern, p.text) for p in _dataset(count=50, length=100)]
+    ahead = []
+
+    def counting(registry):
+        for index in range(count):
+            if index % shard_size == 0:
+                # Shards cut so far (this one included) minus shards
+                # merged: each worker's batch.shards count reaches the
+                # parent's registry as its shard is merged.
+                cut = index // shard_size + 1
+                ahead.append(cut - registry.counter("batch.shards"))
+            yield distinct[index % len(distinct)]
+
+    with _deadline(120), obs.capture() as (_recorder, registry):
+        batch = align_batch(
+            FullGmxAligner(),
+            counting(registry),
+            traceback=False,
+            workers=workers,
+            shard_size=shard_size,
+        )
+    assert batch.pairs == count
+    assert max(ahead) <= window, f"cut {max(ahead)} shards ahead"
 
 
 @pytest.mark.slow

@@ -16,7 +16,7 @@ from repro.dist import (
     running_worker,
 )
 from repro.dist.coordinator import DistCounters, _Lease
-from repro.dist.protocol import shard_checksum
+from repro.resilience.injectors import shard_checksum
 from repro.resilience import CheckpointJournal
 from repro.workloads import generate_pair_set
 

@@ -11,7 +11,7 @@ from repro.dist import (
     ShardCompletion,
     ShardRequest,
 )
-from repro.dist.protocol import shard_checksum
+from repro.resilience.injectors import shard_checksum
 
 PAIRS = [("ACGTACGT", "ACGAACGT"), ("TTTT", "TTAT")]
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.align import FullGmxAligner
 from repro.dist import DistWorker, ShardCompletion, ShardRequest, running_worker
-from repro.dist.protocol import shard_checksum
+from repro.resilience.injectors import shard_checksum
 from repro.serve.cache import aligner_fingerprint
 from repro.workloads import generate_pair_set
 

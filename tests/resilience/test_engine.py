@@ -294,6 +294,22 @@ class TestCheckpointResume:
                 fault_plan=plan,
             )
 
+    def test_journal_from_another_tile_size_is_rejected(self, pairs, tmp_path):
+        # The journal names the aligner by its configuration, not just its
+        # class: tile_size=32 results must not be replayed at tile_size=8.
+        from repro.resilience import CheckpointError
+
+        journal = str(tmp_path / "run.journal")
+        align_batch_resilient(
+            FullGmxAligner(tile_size=32), pairs, shard_size=2,
+            checkpoint=journal,
+        )
+        with pytest.raises(CheckpointError):
+            align_batch_resilient(
+                FullGmxAligner(tile_size=8), pairs, shard_size=2,
+                checkpoint=journal,
+            )
+
 
 @pytest.mark.slow
 class TestProcessPool:

@@ -14,7 +14,7 @@ from repro.align import (
     WorkerPool,
     align_batch,
 )
-from repro.align.parallel import _align_shard, align_batch_sharded
+from repro.align.parallel import _align_shard
 from repro.workloads import generate_pair_set
 
 HAS_PROCESSES = bool(multiprocessing.get_all_start_methods())
@@ -152,7 +152,7 @@ class TestLossCheck:
 
 
 class TestSharedPoolBatchAPI:
-    """align_batch_sharded rides an external warm pool without owning it."""
+    """align_batch rides an external warm pool without owning it."""
 
     @needs_processes
     def test_external_pool_results_identical_and_pool_survives(self):
@@ -163,10 +163,10 @@ class TestSharedPoolBatchAPI:
 
         with WorkerPool(2) as pool:
             generation = pool.generation
-            first = align_batch_sharded(
+            first = align_batch(
                 aligner, pairs, shard_size=3, pool=pool
             )
-            second = align_batch_sharded(
+            second = align_batch(
                 aligner, pairs, shard_size=3, pool=pool
             )
             # The batch borrowed the pool: no churn, still open.
@@ -186,7 +186,7 @@ class TestSharedPoolBatchAPI:
         aligner = FullGmxAligner()
         serial = align_batch(aligner, pairs)
         with WorkerPool(1) as pool:
-            batch = align_batch_sharded(aligner, pairs, pool=pool)
+            batch = align_batch(aligner, pairs, pool=pool)
         assert [(r.score, r.cigar) for r in batch.results] == [
             (r.score, r.cigar) for r in serial.results
         ]
@@ -199,7 +199,7 @@ class TestSharedPoolBatchAPI:
         aligner = FullGmxAligner()
         pool = WorkerPool(2)
         pool.close()
-        batch = align_batch_sharded(aligner, pairs, pool=pool)
+        batch = align_batch(aligner, pairs, pool=pool)
         serial = align_batch(aligner, pairs)
         assert [(r.score, r.cigar) for r in batch.results] == [
             (r.score, r.cigar) for r in serial.results
