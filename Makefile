@@ -9,7 +9,9 @@
 # usable multiprocessing, so the target degrades gracefully everywhere.
 # `test-backends` runs the kernel-backend suites (registry, differential
 # fuzz, pickling, backend-parameterized conformance) and the speedup gate
-# that maintains BENCH_backends.json.
+# that maintains BENCH_backends.json.  There is no engine setting to
+# sweep: the GMX aligners run `bitpar`, and each suite names `pure`
+# itself wherever it needs the reference, so one run covers both.
 # `test-cov` runs the fast suite under pytest-cov and enforces COV_MIN
 # (skipped with a notice when pytest-cov is not installed — the repro
 # container ships without it; CI installs it in the coverage job).

@@ -22,8 +22,6 @@ import json
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.align import FullGmxAligner
 from repro.align.backends import backend_names
 from repro.obs import runtime as obs
@@ -79,9 +77,6 @@ def _gcups(entry):
     return entry["dp_cells"] / entry["wall_seconds"] / 1e9
 
 
-@pytest.mark.skipif(
-    "bitpar" not in backend_names(), reason="bitpar backend unavailable"
-)
 def test_bitpar_speedup_and_snapshot():
     # -- measure ---------------------------------------------------------
     distance = {}

@@ -36,12 +36,11 @@ class AutoAligner(Aligner):
         require_exact: when True, never fall back to the windowed
             heuristic; raise instead if the budget cannot be met.
         tile_size: T for all engines.
-        backend: kernel backend shared by all engines (see
-            :mod:`repro.align.backends`).
+        backend: kernel backend shared by all engines; ``None`` is
+            ``bitpar`` (see :mod:`repro.align.backends`).
     """
 
     name = "Auto(GMX)"
-    supports_backend = True
 
     def __init__(
         self,
@@ -65,16 +64,6 @@ class AutoAligner(Aligner):
         )
         #: Engine chosen by the most recent :meth:`align` call.
         self.last_choice: Optional[str] = None
-
-    def with_backend(
-        self, backend: Union[None, str, KernelBackend]
-    ) -> "AutoAligner":
-        return AutoAligner(
-            memory_budget_bytes=self.memory_budget_bytes,
-            require_exact=self.require_exact,
-            tile_size=self.tile_size,
-            backend=backend,
-        )
 
     def _edge_matrix_bytes(self, n: int, m: int) -> int:
         tiles = -(-n // self.tile_size) * -(-m // self.tile_size)

@@ -22,25 +22,20 @@ images ``M[i][j] = (ΔV_out, ΔH_out)`` plus the bottom-row ΔH stream — from
     byte-identical to ``pure`` (block-equivalence of the Myers recurrence:
     both engines compute the unique Δ values of the same DP matrix).
 
-Selection order (first match wins):
-
-1. an explicit ``backend=`` argument to :func:`repro.align.align_batch`,
-2. the aligner's own ``backend=`` constructor argument,
-3. the ``REPRO_BACKEND`` environment variable,
-4. the built-in default, ``pure``.
-
-Backends that batch their retired-instruction accounting cannot feed the
-per-instruction observers, so :func:`effective_backend` silently degrades
-to ``pure`` whenever an ISA trace is being recorded or a fault-injection
-hook is armed — the program verifier and the chaos campaigns always see
-the reference engine, and fault-injected results stay bit-identical
-across backends.
+Every GMX aligner runs ``bitpar`` unless its constructor is given
+``backend="pure"``, which is how the reference suites and the speedup
+gate name the reference.  The one exception is made here, by
+:func:`effective_backend`: ``bitpar`` batches its retired-instruction
+accounting, so it cannot feed per-instruction observers, and whenever an
+ISA trace is being recorded or a fault-injection hook is armed the
+alignment runs on ``pure`` — the program verifier and the chaos
+campaigns always see the reference engine, and fault-injected results
+are the same whichever engine the aligner was built with.
 """
 
 from __future__ import annotations
 
 import abc
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -50,7 +45,6 @@ from ..core.tile import advance_column, build_peq
 from .base import KernelStats
 
 __all__ = [
-    "BACKEND_ENV",
     "DEFAULT_BACKEND",
     "BackendError",
     "BackendSpec",
@@ -65,19 +59,15 @@ __all__ = [
     "backend_specs",
     "effective_backend",
     "get_backend",
-    "is_available",
     "register_backend",
 ]
 
-#: Environment variable naming the session-wide default backend.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: The built-in default: the reference tile-instruction engine.
-DEFAULT_BACKEND = "pure"
+#: The engine of every aligner not built with ``backend="pure"``.
+DEFAULT_BACKEND = "bitpar"
 
 
 class BackendError(ValueError):
-    """Raised for unknown, unavailable, or misused kernel backends."""
+    """Raised for unknown or misused kernel backends."""
 
 
 def _edge_bytes(tile_size: int) -> int:
@@ -185,7 +175,7 @@ class KernelBackend(abc.ABC):
     into pool workers; all per-alignment state lives in the request.
     """
 
-    #: Registry name (also the CLI / env spelling).
+    #: Registry name (the aligners' ``backend=`` spelling).
     name: str = "?"
 
     #: True when the backend retires each ISA instruction individually, so
@@ -539,22 +529,14 @@ class BackendSpec:
     """Registry entry for one kernel backend.
 
     Attributes:
-        name: registry / CLI / env spelling.
+        name: registry spelling (the aligners' ``backend=`` argument).
         factory: zero-argument constructor of the backend singleton.
-        description: one-line summary for ``--help`` and the eval badge.
-        requires: availability predicate (dependency probe); the backend
-            is registered either way but only constructible when it
-            returns True.
+        description: one-line summary for the eval badge.
     """
 
     name: str
     factory: Callable[[], KernelBackend]
     description: str
-    requires: Callable[[], bool]
-
-    @property
-    def available(self) -> bool:
-        return self.requires()
 
 
 _REGISTRY: Dict[str, BackendSpec] = {}
@@ -566,7 +548,6 @@ def register_backend(
     factory: Callable[[], KernelBackend],
     *,
     description: str = "",
-    requires: Optional[Callable[[], bool]] = None,
 ) -> None:
     """Register a kernel backend under ``name``.
 
@@ -576,10 +557,7 @@ def register_backend(
     if name in _REGISTRY:
         raise BackendError(f"backend {name!r} is already registered")
     _REGISTRY[name] = BackendSpec(
-        name=name,
-        factory=factory,
-        description=description,
-        requires=requires if requires is not None else (lambda: True),
+        name=name, factory=factory, description=description
     )
 
 
@@ -588,23 +566,9 @@ def backend_specs() -> Tuple[BackendSpec, ...]:
     return tuple(_REGISTRY.values())
 
 
-def backend_names(*, available_only: bool = True) -> Tuple[str, ...]:
-    """Registered backend names, in registration order.
-
-    Args:
-        available_only: drop backends whose dependency probe fails.
-    """
-    return tuple(
-        spec.name
-        for spec in _REGISTRY.values()
-        if spec.available or not available_only
-    )
-
-
-def is_available(name: str) -> bool:
-    """True when ``name`` is registered and its dependencies are present."""
-    spec = _REGISTRY.get(name)
-    return spec is not None and spec.available
+def backend_names() -> Tuple[str, ...]:
+    """Registered backend names, in registration order."""
+    return tuple(_REGISTRY)
 
 
 def get_backend(
@@ -612,30 +576,24 @@ def get_backend(
 ) -> KernelBackend:
     """Resolve a backend selector to a backend instance.
 
-    ``None`` consults the ``REPRO_BACKEND`` environment variable and falls
-    back to the built-in default; a string is looked up in the registry
-    (instances are cached singletons); an instance passes through.
+    ``None`` is :data:`DEFAULT_BACKEND`; a string is looked up in the
+    registry (instances are cached singletons); an instance passes
+    through.
 
     Raises:
-        BackendError: unknown name, or a registered backend whose
-            dependencies are missing.
+        BackendError: unknown name.
     """
     if isinstance(backend, KernelBackend):
         return backend
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
+        backend = DEFAULT_BACKEND
     spec = _REGISTRY.get(backend)
     if spec is None:
-        known = ", ".join(backend_names(available_only=False))
+        known = ", ".join(backend_names())
         raise BackendError(
             f"unknown kernel backend {backend!r} (registered: {known})"
         )
     if backend not in _INSTANCES:
-        if not spec.available:
-            raise BackendError(
-                f"kernel backend {backend!r} is registered but unavailable "
-                f"(missing dependency); available: {', '.join(backend_names())}"
-            )
         # The sanitizer session pre-warms and then guards this dict.
         _INSTANCES[backend] = spec.factory()  # dsan: allow[REPRO009] singleton fill
     return _INSTANCES[backend]
@@ -653,7 +611,7 @@ def effective_backend(backend: KernelBackend, isa: GmxIsa) -> KernelBackend:
     if backend.observes_isa:
         return backend
     if isa.trace is not None or isa._active_fault_hook() is not None:
-        return get_backend(DEFAULT_BACKEND)
+        return get_backend("pure")
     return backend
 
 

@@ -27,7 +27,6 @@ from ..core.cigar import (
 )
 from ..core.isa import GmxIsa, encode_pos
 from ..core.tile import DEFAULT_TILE_SIZE
-from ..core.traceback import NextTile
 from ..obs import runtime as obs
 from .backends import (
     BandedMatrixRequest,
@@ -36,7 +35,7 @@ from .backends import (
     get_backend,
 )
 from .base import Aligner, AlignmentResult, BandExceededError, KernelStats
-from .full_gmx import _chunks, _edge_bytes
+from .full_gmx import _chunks, _edge_bytes, _walk_tiles
 
 __all__ = ["BandExceededError", "BandedGmxAligner"]
 
@@ -55,12 +54,11 @@ class BandedGmxAligner(Aligner):
             :class:`~repro.core.isa.IsaEvent` stream to this list — the
             input of the static program verifier (:mod:`repro.analysis`).
         backend: kernel backend computing the band passes — a registered
-            name, a :class:`~repro.align.backends.KernelBackend` instance,
-            or ``None`` for the environment/default selection.
+            name or a :class:`~repro.align.backends.KernelBackend`
+            instance; ``None`` is ``bitpar``.
     """
 
     name = "Banded(GMX)"
-    supports_backend = True
 
     def __init__(
         self,
@@ -73,22 +71,13 @@ class BandedGmxAligner(Aligner):
     ):
         if band is not None and band < 1:
             raise ValueError(f"band must be positive, got {band}")
+        if tile_size < 2:
+            raise ValueError(f"tile size must be at least 2, got {tile_size}")
         self.band = band
         self.auto_widen = auto_widen
         self.tile_size = tile_size
         self.trace_sink = trace_sink
         self.backend = get_backend(backend)
-
-    def with_backend(
-        self, backend: Union[None, str, KernelBackend]
-    ) -> "BandedGmxAligner":
-        return BandedGmxAligner(
-            self.band,
-            auto_widen=self.auto_widen,
-            tile_size=self.tile_size,
-            trace_sink=self.trace_sink,
-            backend=backend,
-        )
 
     @obs.instrument_align("banded_gmx")
     def align(
@@ -235,7 +224,6 @@ class BandedGmxAligner(Aligner):
         bt: int,
     ) -> List[str]:
         tile = self.tile_size
-        edge_bytes = _edge_bytes(tile)
         ti = len(p_chunks) - 1
         tj = len(t_chunks) - 1
         if abs(ti - tj) > bt:
@@ -243,17 +231,12 @@ class BandedGmxAligner(Aligner):
                 f"band of {bt} tiles does not reach the DP corner "
                 f"({ti}, {tj}); widen the band"
             )
-        gi = len(pattern) - 1
-        gj = len(text) - 1
-        isa.csrw("gmx_pos", encode_pos(tile - 1, tile - 1, tile))
-        reversed_ops: List[str] = []
-        while gi >= 0 and gj >= 0:
+
+        def edges(ti: int, tj: int) -> Tuple[int, int]:
             if (ti, tj) not in matrix:
                 raise BandExceededError(
                     f"traceback left the computed band at tile ({ti}, {tj})"
                 )
-            isa.csrw("gmx_text", t_chunks[tj])
-            isa.csrw("gmx_pattern", p_chunks[ti])
             if tj == 0:
                 dv_in = boundary_v[ti]
             elif (ti, tj - 1) in matrix:
@@ -266,28 +249,13 @@ class BandedGmxAligner(Aligner):
                 dh_in = matrix[(ti - 1, tj)][1]
             else:
                 dh_in = plus_fill_h[tj]
-            result = isa.gmx_tb(dv_in, dh_in)
-            isa.csrr("gmx_hi")
-            isa.csrr("gmx_lo")
-            isa.csrr("gmx_pos")
-            stats.dp_bytes_read += 2 * edge_bytes
-            stats.add_instr("load", 2)
-            stats.add_instr("int_alu", 6)
-            stats.add_instr("branch", 2)
-            reversed_ops.extend(result.ops)
-            gi -= result.rows_walked
-            gj -= result.cols_walked
-            # Algorithm 2 dumps the raw encoded alignment: two stores of
-            # gmx_hi/gmx_lo per tile (the ops stay 2-bit encoded in memory).
-            stats.add_instr("store", 2)
-            stats.dp_bytes_written += 2 * edge_bytes
-            if result.next_tile is NextTile.DIAGONAL:
-                ti -= 1
-                tj -= 1
-            elif result.next_tile is NextTile.UP:
-                ti -= 1
-            else:
-                tj -= 1
+            return dv_in, dh_in
+
+        isa.csrw("gmx_pos", encode_pos(tile - 1, tile - 1, tile))
+        reversed_ops, gi, gj = _walk_tiles(
+            isa, stats, p_chunks, t_chunks, edges,
+            ti, tj, len(pattern) - 1, len(text) - 1,
+        )
         reversed_ops.extend([OP_DELETION] * (gi + 1))
         reversed_ops.extend([OP_INSERTION] * (gj + 1))
         reversed_ops.reverse()

@@ -188,28 +188,6 @@ class Aligner(abc.ABC):
     #: Figure label of this aligner.
     name: str = "?"
 
-    #: True when the aligner computes its DP matrix through a pluggable
-    #: kernel backend (see :mod:`repro.align.backends`) and accepts a
-    #: ``backend=`` constructor argument.
-    supports_backend: bool = False
-
-    def with_backend(self, backend) -> "Aligner":
-        """A fresh copy of this aligner configured with ``backend``.
-
-        ``backend`` is a registered backend name, a
-        :class:`~repro.align.backends.KernelBackend` instance, or ``None``
-        for the environment/default selection.  Aligners without a
-        pluggable kernel (the software baselines) refuse, so batch-level
-        backend selection fails loudly instead of silently running the
-        wrong engine.
-
-        Raises:
-            AlignerError: this aligner has no pluggable kernel backend.
-        """
-        raise AlignerError(
-            f"{type(self).__name__} does not support kernel backends"
-        )
-
     @abc.abstractmethod
     def align(
         self, pattern: str, text: str, *, traceback: bool = True

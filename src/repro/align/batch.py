@@ -132,7 +132,6 @@ def align_batch(
     validate: bool = False,
     workers: Optional[int] = 1,
     shard_size: Optional[int] = None,
-    backend: Optional[object] = None,
     pool: Optional[WorkerPool] = None,
 ) -> BatchResult:
     """Align every pair with ``aligner`` and aggregate the statistics.
@@ -155,13 +154,6 @@ def align_batch(
             process support falls back to in-process execution, named in
             ``telemetry.fallback_reason``/``telemetry.executor``.
         shard_size: pairs per shard (default ``DEFAULT_SHARD_SIZE``).
-        backend: kernel backend override (name or
-            :class:`~repro.align.backends.KernelBackend`); rebinds the
-            aligner via :meth:`~repro.align.base.Aligner.with_backend`
-            before any work starts, so it also survives pickling into
-            pool workers.  Raises
-            :class:`~repro.align.base.AlignerError` for aligners without
-            a pluggable kernel.
         pool: an existing warm :class:`~repro.align.parallel.WorkerPool`
             to run on — the batch skips pool spin-up and leaves the pool
             open for the next caller.  ``None`` creates an ephemeral pool
@@ -175,8 +167,6 @@ def align_batch(
     The returned :class:`BatchResult` always carries a
     :attr:`~BatchResult.telemetry` record with the measured wall time.
     """
-    if backend is not None:
-        aligner = aligner.with_backend(backend)
     if pool is not None:
         workers = pool.workers
     elif workers is None:

@@ -26,7 +26,7 @@ RISC-V code the paper compiles):
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from ..core.bitvec import pack_deltas
 from ..core.cigar import Alignment, OP_DELETION, OP_INSERTION
@@ -55,6 +55,59 @@ def _chunks(sequence: str, tile_size: int) -> List[str]:
     ]
 
 
+def _walk_tiles(
+    isa: GmxIsa,
+    stats: KernelStats,
+    p_chunks: List[str],
+    t_chunks: List[str],
+    edges: Callable[[int, int], Tuple[int, int]],
+    ti: int,
+    tj: int,
+    gi: int,
+    gj: int,
+) -> Tuple[List[str], int, int]:
+    """Algorithm 2's tile loop: one ``gmx.tb`` per tile on the path.
+
+    The walk starts in tile ``(ti, tj)`` at global cell ``(gi, gj)``, with
+    ``gmx_pos`` already written, and stops once it leaves the matrix
+    through the top row or the left column.  ``edges(ti, tj)`` returns the
+    tile's stored ``(ΔV_in, ΔH_in)`` images (and may raise to stop the
+    walk).
+
+    Returns:
+        (the walked ops in reverse order, final gi, final gj).
+    """
+    edge_bytes = _edge_bytes(isa.tile_size)
+    reversed_ops: List[str] = []
+    while gi >= 0 and gj >= 0:
+        dv_in, dh_in = edges(ti, tj)
+        isa.csrw("gmx_text", t_chunks[tj])
+        isa.csrw("gmx_pattern", p_chunks[ti])
+        result = isa.gmx_tb(dv_in, dh_in)
+        isa.csrr("gmx_hi")
+        isa.csrr("gmx_lo")
+        isa.csrr("gmx_pos")
+        stats.dp_bytes_read += 2 * edge_bytes
+        stats.add_instr("load", 2)
+        stats.add_instr("int_alu", 6)
+        stats.add_instr("branch", 2)
+        reversed_ops.extend(result.ops)
+        gi -= result.rows_walked
+        gj -= result.cols_walked
+        # Algorithm 2 dumps the raw encoded alignment: two stores of
+        # gmx_hi/gmx_lo per tile (the ops stay 2-bit encoded in memory).
+        stats.add_instr("store", 2)
+        stats.dp_bytes_written += 2 * edge_bytes
+        if result.next_tile is NextTile.DIAGONAL:
+            ti -= 1
+            tj -= 1
+        elif result.next_tile is NextTile.UP:
+            ti -= 1
+        else:
+            tj -= 1
+    return reversed_ops, gi, gj
+
+
 class FullGmxAligner(Aligner):
     """Full-matrix aligner built on GMX tile instructions.
 
@@ -68,13 +121,12 @@ class FullGmxAligner(Aligner):
             :class:`~repro.core.isa.IsaEvent` stream to this list — the
             input of the static program verifier (:mod:`repro.analysis`).
         backend: kernel backend computing the DP-matrix phase — a
-            registered name, a :class:`~repro.align.backends.KernelBackend`
-            instance, or ``None`` for the environment/default selection
-            (see :mod:`repro.align.backends`).
+            registered name or a
+            :class:`~repro.align.backends.KernelBackend` instance; ``None``
+            is ``bitpar`` (see :mod:`repro.align.backends`).
     """
 
     name = "Full(GMX)"
-    supports_backend = True
 
     def __init__(
         self,
@@ -92,17 +144,6 @@ class FullGmxAligner(Aligner):
         self.fused = fused
         self.trace_sink = trace_sink
         self.backend = get_backend(backend)
-
-    def with_backend(
-        self, backend: Union[None, str, KernelBackend]
-    ) -> "FullGmxAligner":
-        return FullGmxAligner(
-            tile_size=self.tile_size,
-            mode=self.mode,
-            fused=self.fused,
-            trace_sink=self.trace_sink,
-            backend=backend,
-        )
 
     def _fresh_isa(self) -> GmxIsa:
         """A new ISA instance, wired for trace recording when requested."""
@@ -242,43 +283,22 @@ class FullGmxAligner(Aligner):
         Returns (ops, start column of the covered text span).
         """
         tile = self.tile_size
-        edge_bytes = _edge_bytes(tile)
         gi = len(pattern) - 1  # global row of the walk position
         gj = end_column - 1  # global column of the walk position
         if gj < 0:
             # Whole pattern against an empty text prefix: pure deletions.
             return [OP_DELETION] * len(pattern), end_column
-        ti = len(p_chunks) - 1
-        tj = gj // tile
-        isa.csrw("gmx_pos", encode_pos(tile - 1, gj % tile, tile))
-        reversed_ops: List[str] = []
-        while gi >= 0 and gj >= 0:
-            isa.csrw("gmx_text", t_chunks[tj])
-            isa.csrw("gmx_pattern", p_chunks[ti])
+
+        def edges(ti: int, tj: int) -> Tuple[int, int]:
             dv_in = matrix[ti][tj - 1][0] if tj > 0 else boundary_v[ti]
             dh_in = matrix[ti - 1][tj][1] if ti > 0 else boundary_h[tj]
-            result = isa.gmx_tb(dv_in, dh_in)
-            isa.csrr("gmx_hi")
-            isa.csrr("gmx_lo")
-            isa.csrr("gmx_pos")
-            stats.dp_bytes_read += 2 * edge_bytes
-            stats.add_instr("load", 2)
-            stats.add_instr("int_alu", 6)
-            stats.add_instr("branch", 2)
-            reversed_ops.extend(result.ops)
-            gi -= result.rows_walked
-            gj -= result.cols_walked
-            # Algorithm 2 dumps the raw encoded alignment: two stores of
-            # gmx_hi/gmx_lo per tile (the ops stay 2-bit encoded in memory).
-            stats.add_instr("store", 2)
-            stats.dp_bytes_written += 2 * edge_bytes
-            if result.next_tile is NextTile.DIAGONAL:
-                ti -= 1
-                tj -= 1
-            elif result.next_tile is NextTile.UP:
-                ti -= 1
-            else:
-                tj -= 1
+            return dv_in, dh_in
+
+        isa.csrw("gmx_pos", encode_pos(tile - 1, gj % tile, tile))
+        reversed_ops, gi, gj = _walk_tiles(
+            isa, stats, p_chunks, t_chunks, edges,
+            len(p_chunks) - 1, gj // tile, gi, gj,
+        )
         # Finish along the matrix boundary.
         reversed_ops.extend([OP_DELETION] * (gi + 1))
         if self.mode is AlignmentMode.INFIX:

@@ -32,7 +32,7 @@ from ..core.cigar import (
 from ..core.tile import DEFAULT_TILE_SIZE
 from ..obs import runtime as obs
 from .backends import KernelBackend
-from .base import Aligner, AlignerError, AlignmentResult, KernelStats
+from .base import Aligner, AlignmentResult, KernelStats
 from .full_gmx import FullGmxAligner, _edge_bytes
 
 
@@ -61,23 +61,9 @@ class WindowedAligner(Aligner):
         self.overlap = overlap
 
     @property
-    def supports_backend(self) -> bool:  # type: ignore[override]
-        """Backend support is inherited from the inner aligner."""
-        return getattr(self.inner, "supports_backend", False)
-
-    @property
     def backend(self) -> "KernelBackend | None":
         """The inner aligner's kernel backend (None when it has none)."""
         return getattr(self.inner, "backend", None)
-
-    def with_backend(self, backend) -> "WindowedAligner":
-        if not self.supports_backend:
-            raise AlignerError(
-                f"{type(self.inner).__name__} does not support kernel backends"
-            )
-        return WindowedAligner(
-            self.inner.with_backend(backend), self.window, self.overlap
-        )
 
     @obs.instrument_align("windowed")
     def align(
@@ -201,8 +187,8 @@ class WindowedGmxAligner(WindowedAligner):
         trace_sink: when given, every window's Full(GMX) run appends its
             retired instruction stream to this list (one program per
             window) for the static program verifier.
-        backend: kernel backend for the inner Full(GMX) windows (see
-            :mod:`repro.align.backends`).
+        backend: kernel backend for the inner Full(GMX) windows; ``None``
+            is ``bitpar`` (see :mod:`repro.align.backends`).
     """
 
     name = "Windowed(GMX)"
@@ -223,15 +209,6 @@ class WindowedGmxAligner(WindowedAligner):
             ),
             window=window if window is not None else 3 * tile_size,
             overlap=overlap if overlap is not None else tile_size,
-        )
-
-    def with_backend(self, backend) -> "WindowedGmxAligner":
-        return WindowedGmxAligner(
-            self.window,
-            self.overlap,
-            tile_size=self.tile_size,
-            trace_sink=self.inner.trace_sink,
-            backend=backend,
         )
 
     def _window_state_bytes(self) -> int:

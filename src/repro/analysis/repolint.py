@@ -34,6 +34,7 @@ REPRO005 runs only against a source checkout (it scans ``tests/`` and
 from __future__ import annotations
 
 import ast
+import inspect
 import pickle
 from pathlib import Path
 from typing import List, Optional
@@ -267,11 +268,12 @@ def check_aligner_picklability() -> List[Diagnostic]:
     windowed driver, which needs an inner aligner) are exercised through
     their concrete default-constructible subclasses instead.
 
-    Backend-capable aligners (``supports_backend``) are additionally
-    round-tripped once per available registered backend, asserting the
-    restored instance still carries the same backend — the property the
-    parallel engine relies on when a backend-configured aligner ships to
-    a pool worker.  Backend singletons themselves round-trip too.
+    Aligners whose constructor takes ``backend=`` (the GMX aligners) are
+    additionally built once per registered backend and round-tripped,
+    asserting the restored instance still carries the same backend — the
+    property the parallel engine relies on when a backend-configured
+    aligner ships to a pool worker.  Backend singletons themselves
+    round-trip too.
     """
     import repro.align as align_pkg
     import repro.baselines as baselines_pkg
@@ -328,14 +330,14 @@ def check_aligner_picklability() -> List[Diagnostic]:
         except Exception as exc:  # noqa: BLE001 — report, never crash the lint
             report(f"{cls.__module__}.{cls.__name__}", exc)
             continue
-        if not getattr(instance, "supports_backend", False):
+        if "backend" not in inspect.signature(cls).parameters:
             continue
         for backend_name in backends:
             where = (
                 f"{cls.__module__}.{cls.__name__}(backend={backend_name!r})"
             )
             try:
-                configured = instance.with_backend(backend_name)
+                configured = cls(backend=backend_name)
                 restored = pickle.loads(pickle.dumps(configured))
                 restored_backend = getattr(restored, "backend", None)
                 if getattr(restored_backend, "name", None) != backend_name:

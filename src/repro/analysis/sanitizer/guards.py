@@ -290,7 +290,7 @@ def sanitize(
     on clean exit that no ambient hook outlived the block.  Nested calls
     reuse the active session rather than stacking guards.
 
-    The instance cache is pre-warmed (every available backend is
+    The instance cache is pre-warmed (every registered backend is
     instantiated) before the guards go up, so a first-touch singleton
     fill from inside a worker thread cannot masquerade as a race.
     """

@@ -64,7 +64,6 @@ from .align import (
     FullGmxAligner,
     WindowedGmxAligner,
 )
-from .align.backends import backend_names
 from .baselines import (
     BitapAligner,
     BpmAligner,
@@ -80,7 +79,7 @@ ALIGNER_FACTORIES: Dict[str, Callable] = {
     "full-gmx": lambda args: FullGmxAligner(
         tile_size=args.tile_size,
         mode=AlignmentMode(args.mode),
-        fused=getattr(args, "fused", False),
+        fused=args.fused,
     ),
     "banded-gmx": lambda args: BandedGmxAligner(tile_size=args.tile_size),
     "windowed-gmx": lambda args: WindowedGmxAligner(tile_size=args.tile_size),
@@ -114,42 +113,61 @@ def _experiments() -> Dict[str, Callable]:
     }
 
 
+def _tile_size(value: str) -> int:
+    """argparse type of every ``--tile-size``: the GMX tile dimension T."""
+    try:
+        size = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {value!r}"
+        ) from None
+    if size < 2:
+        raise argparse.ArgumentTypeError(
+            f"tile size must be at least 2, got {size}"
+        )
+    return size
+
+
+def _aligner_options() -> argparse.ArgumentParser:
+    """The options :data:`ALIGNER_FACTORIES` reads, shared as a parent by
+    every command that hosts an aligner (align, serve, dist worker,
+    dist coordinator)."""
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument(
+        "--algorithm",
+        choices=sorted(ALIGNER_FACTORIES),
+        default="full-gmx",
+    )
+    options.add_argument(
+        "--mode",
+        choices=[mode.value for mode in AlignmentMode],
+        default="global",
+        help="anchoring mode (full-gmx and nw only)",
+    )
+    options.add_argument("--tile-size", type=_tile_size, default=32)
+    options.add_argument(
+        "--fused",
+        action="store_true",
+        help="use the dual-destination gmx.vh tile instruction (full-gmx)",
+    )
+    return options
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="GMX (MICRO 2023) reproduction — alignment and models",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    aligner_options = _aligner_options()
 
-    align = commands.add_parser("align", help="align sequences")
+    align = commands.add_parser(
+        "align", help="align sequences", parents=[aligner_options]
+    )
     align.add_argument("pattern", nargs="?", help="pattern sequence")
     align.add_argument("text", nargs="?", help="text sequence")
     align.add_argument(
         "--pairs", metavar="FILE", help="align every pair of a .seq file"
-    )
-    align.add_argument(
-        "--algorithm",
-        choices=sorted(ALIGNER_FACTORIES),
-        default="full-gmx",
-    )
-    align.add_argument(
-        "--mode",
-        choices=[mode.value for mode in AlignmentMode],
-        default="global",
-        help="anchoring mode (full-gmx and nw only)",
-    )
-    align.add_argument("--tile-size", type=int, default=32)
-    align.add_argument(
-        "--backend",
-        choices=backend_names(available_only=False),
-        default=None,
-        help="kernel backend for the GMX aligners (default: "
-        "$REPRO_BACKEND or 'pure'; see repro.align.backends)",
-    )
-    align.add_argument(
-        "--fused",
-        action="store_true",
-        help="use the dual-destination gmx.vh tile instruction (full-gmx)",
     )
     align.add_argument(
         "--no-traceback", action="store_true", help="distance only"
@@ -216,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     design = commands.add_parser("design", help="GMX hardware design point")
-    design.add_argument("--tile-size", type=int, default=32)
+    design.add_argument("--tile-size", type=_tile_size, default=32)
     design.add_argument("--frequency", type=float, default=1.0, metavar="GHZ")
 
     verify = commands.add_parser(
@@ -265,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="seeded pairs per aligner for the stream check",
     )
-    lint.add_argument("--tile-size", type=int, default=32)
+    lint.add_argument("--tile-size", type=_tile_size, default=32)
     lint.add_argument(
         "--single-port",
         action="store_true",
@@ -313,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sample", type=int, default=3, metavar="N",
         help="shards re-executed serially by the shadow pass",
     )
-    sanitize.add_argument("--tile-size", type=int, default=32)
+    sanitize.add_argument("--tile-size", type=_tile_size, default=32)
 
     chaos = commands.add_parser(
         "chaos", help="seeded fault-injection campaign (must survive)"
@@ -374,7 +392,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dist_commands = dist.add_subparsers(dest="dist_command", required=True)
     dist_worker = dist_commands.add_parser(
-        "worker", help="run one worker node (warm pool behind HTTP)"
+        "worker",
+        help="run one worker node (warm pool behind HTTP)",
+        parents=[aligner_options],
     )
     dist_worker.add_argument("--host", default="127.0.0.1")
     dist_worker.add_argument("--port", type=int, default=8876)
@@ -390,31 +410,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, metavar="N",
         help="warm worker-pool size inside the node",
     )
-    dist_worker.add_argument(
-        "--algorithm",
-        choices=sorted(ALIGNER_FACTORIES),
-        default="full-gmx",
-    )
-    dist_worker.add_argument(
-        "--mode",
-        choices=[mode.value for mode in AlignmentMode],
-        default="global",
-    )
-    dist_worker.add_argument("--tile-size", type=int, default=32)
-    dist_worker.add_argument(
-        "--fused", action="store_true",
-        help="use the dual-destination gmx.vh tile instruction (full-gmx)",
-    )
-    dist_worker.add_argument(
-        "--backend",
-        choices=backend_names(available_only=False),
-        default=None,
-        help="kernel backend for the GMX aligners",
-    )
     dist_coord = dist_commands.add_parser(
         "coordinator",
         help="lease a batch's shards across worker nodes and collect "
         "results with exactly-once accounting",
+        parents=[aligner_options],
     )
     dist_coord.add_argument(
         "--node", action="append", required=True, metavar="URL",
@@ -425,27 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dist_coord.add_argument(
         "--pairs", metavar="FILE", required=True,
         help="align every pair of a .seq/FASTA/FASTQ file",
-    )
-    dist_coord.add_argument(
-        "--algorithm",
-        choices=sorted(ALIGNER_FACTORIES),
-        default="full-gmx",
-    )
-    dist_coord.add_argument(
-        "--mode",
-        choices=[mode.value for mode in AlignmentMode],
-        default="global",
-    )
-    dist_coord.add_argument("--tile-size", type=int, default=32)
-    dist_coord.add_argument(
-        "--fused", action="store_true",
-        help="use the dual-destination gmx.vh tile instruction (full-gmx)",
-    )
-    dist_coord.add_argument(
-        "--backend",
-        choices=backend_names(available_only=False),
-        default=None,
-        help="kernel backend for the GMX aligners",
     )
     dist_coord.add_argument(
         "--no-traceback", action="store_true", help="distance only"
@@ -468,34 +447,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     serve = commands.add_parser(
-        "serve", help="run the alignment HTTP service (repro.serve)"
+        "serve",
+        help="run the alignment HTTP service (repro.serve)",
+        parents=[aligner_options],
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8765)
     serve.add_argument(
         "--workers", type=int, default=2, metavar="N",
         help="warm worker-pool size (1 = inline execution)",
-    )
-    serve.add_argument(
-        "--algorithm",
-        choices=sorted(ALIGNER_FACTORIES),
-        default="full-gmx",
-    )
-    serve.add_argument(
-        "--mode",
-        choices=[mode.value for mode in AlignmentMode],
-        default="global",
-    )
-    serve.add_argument("--tile-size", type=int, default=32)
-    serve.add_argument(
-        "--fused", action="store_true",
-        help="use the dual-destination gmx.vh tile instruction (full-gmx)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=backend_names(available_only=False),
-        default=None,
-        help="kernel backend for the GMX aligners",
     )
     serve.add_argument(
         "--cache-size", type=int, default=4096, metavar="ENTRIES",
@@ -642,17 +602,7 @@ def _cmd_align(args) -> int:
     from .align.batch import align_batch
     from .workloads.seqio import iter_pairs
 
-    factory = ALIGNER_FACTORIES[args.algorithm]
-    aligner = factory(args)
-    if args.backend is not None:
-        from .align import AlignerError
-        from .align.backends import BackendError
-
-        try:
-            aligner = aligner.with_backend(args.backend)
-        except (AlignerError, BackendError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    aligner = ALIGNER_FACTORIES[args.algorithm](args)
     workers = args.workers
     if workers == 0:
         workers = os.cpu_count() or 1
@@ -1014,28 +964,11 @@ def _cmd_sanitize(args) -> int:
     return 0 if report.clean else 1
 
 
-def _serve_aligner(args):
-    """Build (and optionally re-backend) the aligner a service will host."""
-    aligner = ALIGNER_FACTORIES[args.algorithm](args)
-    if getattr(args, "backend", None) is not None:
-        from .align import AlignerError
-        from .align.backends import BackendError
-
-        try:
-            aligner = aligner.with_backend(args.backend)
-        except (AlignerError, BackendError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return None
-    return aligner
-
-
 def _cmd_serve(args) -> int:
     from .serve import AlignmentHTTPServer, AlignmentService, ServeConfig
     from .serve import ServeError
 
-    aligner = _serve_aligner(args)
-    if aligner is None:
-        return 2
+    aligner = ALIGNER_FACTORIES[args.algorithm](args)
     config = ServeConfig(
         workers=args.workers,
         coalesce_window=args.coalesce_window / 1000.0,
@@ -1178,9 +1111,7 @@ def _cmd_dist(args) -> int:
 def _cmd_dist_worker(args) -> int:
     from .dist import run_worker
 
-    aligner = _serve_aligner(args)
-    if aligner is None:
-        return 2
+    aligner = ALIGNER_FACTORIES[args.algorithm](args)
     node = args.node or f"{args.host}:{args.port}"
 
     def _on_bound(host: str, port: int) -> None:
@@ -1214,9 +1145,7 @@ def _cmd_dist_coordinator(args) -> int:
     from .dist import DistConfig, DistCoordinator, DistError, NodeHandle
     from .workloads.seqio import iter_pairs
 
-    aligner = _serve_aligner(args)
-    if aligner is None:
-        return 2
+    aligner = ALIGNER_FACTORIES[args.algorithm](args)
     nodes = [
         NodeHandle(name=f"node{index}", url=url.rstrip("/"))
         for index, url in enumerate(args.node_urls)

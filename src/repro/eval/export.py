@@ -181,14 +181,14 @@ def _observability_status(*, quick: bool) -> Dict[str, object]:
 def _backend_status(*, quick: bool) -> Dict[str, object]:
     """Kernel-backend stamp embedded in every exported artifact.
 
-    Lists the registered backends (with availability) and runs a seeded
-    differential sweep: every available backend must reproduce the
-    ``pure`` reference's scores and CIGARs bit-for-bit on a fresh pair
-    set.  The badge certifies that whichever backend produced the
-    artifact's numbers, they are the numbers.
+    Lists the registered backends and runs a seeded differential sweep:
+    every backend must reproduce the ``pure`` reference's scores and
+    CIGARs bit-for-bit on a fresh pair set.  The badge certifies that the
+    default engine, which produced the artifact's numbers, computes the
+    reference's numbers.
     """
     from ..align import FullGmxAligner
-    from ..align.backends import DEFAULT_BACKEND, backend_specs, get_backend
+    from ..align.backends import DEFAULT_BACKEND, backend_specs
     from ..workloads.generator import generate_pair_set
     from .reporting import render_backends_badge
 
@@ -196,21 +196,15 @@ def _backend_status(*, quick: bool) -> Dict[str, object]:
     length = 96 if quick else 192
     pair_set = generate_pair_set("backend-stamp", length, 0.06, pairs, seed=13)
     reference = [
-        FullGmxAligner(backend=DEFAULT_BACKEND).align(pair.pattern, pair.text)
+        FullGmxAligner(backend="pure").align(pair.pattern, pair.text)
         for pair in pair_set.pairs
     ]
     registered = []
     identical = True
     checked = []
     for spec in backend_specs():
-        registered.append(
-            {
-                "name": spec.name,
-                "description": spec.description,
-                "available": spec.available,
-            }
-        )
-        if not spec.available or spec.name == DEFAULT_BACKEND:
+        registered.append({"name": spec.name, "description": spec.description})
+        if spec.name == "pure":
             continue
         aligner = FullGmxAligner(backend=spec.name)
         checked.append(spec.name)
@@ -221,7 +215,6 @@ def _backend_status(*, quick: bool) -> Dict[str, object]:
     status: Dict[str, object] = {
         "registered": registered,
         "default": DEFAULT_BACKEND,
-        "ambient": get_backend().name,  # honours $REPRO_BACKEND
         "checked": checked,
         "checked_pairs": pairs,
         "identical": identical,

@@ -172,17 +172,14 @@ def render_backends_badge(status: Dict[str, object]) -> str:
             (:func:`repro.eval.export._backend_status` output).
 
     Returns:
-        ``"backends: N registered (names), default 'pure', differential
+        ``"backends: N registered (names), default 'bitpar', differential
         identical on K pairs"`` — embedded in exported artifacts so a
         report records which kernel engines exist and that the fast ones
         reproduce the reference bit-for-bit.
     """
     registered = status.get("registered", [])
     names = ", ".join(
-        entry.get("name", "?")
-        + ("" if entry.get("available", True) else " [unavailable]")
-        for entry in registered
-        if isinstance(entry, dict)
+        entry.get("name", "?") for entry in registered if isinstance(entry, dict)
     )
     verdict = "identical" if status.get("identical") else "DIVERGENT"
     return (

@@ -24,19 +24,18 @@ from repro.align import (
     BandedGmxAligner,
     FullGmxAligner,
     WindowedGmxAligner,
-    align_batch,
 )
-from repro.align.backends import DEFAULT_BACKEND, backend_names
+from repro.align.backends import backend_names
 
 TILE = 8
 SEED = 0xD1FF
 ALPHABET = "ACGT"
 
-#: Backends under test: everything registered and importable except the
-#: reference itself.
-CHALLENGERS = tuple(
-    name for name in backend_names() if name != DEFAULT_BACKEND
-)
+#: The reference every other backend is held to.
+REFERENCE = "pure"
+
+#: Backends under test: everything registered except the reference.
+CHALLENGERS = tuple(name for name in backend_names() if name != REFERENCE)
 
 #: Hand-picked adversarial pairs (pattern, text).
 ADVERSARIAL = (
@@ -99,25 +98,20 @@ def outcome(aligner, pattern, text):
 
 def assert_identical(make_aligner, pairs):
     """Every challenger matches pure on every pair, field for field."""
-    reference = make_aligner(DEFAULT_BACKEND)
+    reference = make_aligner(REFERENCE)
     for backend in CHALLENGERS:
         challenger = make_aligner(backend)
         for pattern, text in pairs:
             expected = outcome(reference, pattern, text)
             got = outcome(challenger, pattern, text)
             assert got == expected, (
-                f"backend {backend!r} diverged from {DEFAULT_BACKEND!r}\n"
+                f"backend {backend!r} diverged from {REFERENCE!r}\n"
                 f"  aligner: {type(reference).__name__}\n"
                 f"  pattern: {pattern!r}\n"
                 f"  text   : {text!r}\n"
                 f"  pure   : {expected[:2]}\n"
                 f"  {backend:<7}: {got[:2]}"
             )
-
-
-pytestmark = pytest.mark.skipif(
-    not CHALLENGERS, reason="only the pure backend is available"
-)
 
 
 class TestFullGmx:
@@ -143,7 +137,7 @@ class TestFullGmx:
         def check(backend):
             return FullGmxAligner(tile_size=TILE, backend=backend)
 
-        reference = check(DEFAULT_BACKEND)
+        reference = check(REFERENCE)
         for backend in CHALLENGERS:
             challenger = check(backend)
             for pattern, text in random_pairs(30, seed=SEED + 77):
@@ -204,24 +198,6 @@ class TestDrivers:
             random_pairs(20, seed=SEED + 4) + list(ADVERSARIAL),
         )
 
-    def test_batch_backend_kwarg(self):
-        # align_batch(backend=...) reconfigures the aligner for the whole
-        # batch; the merged results must match a pure run pair for pair.
-        pairs = random_pairs(12, seed=SEED + 5)
-        reference = align_batch(FullGmxAligner(tile_size=TILE), pairs)
-        for backend in CHALLENGERS:
-            batch = align_batch(
-                FullGmxAligner(tile_size=TILE), pairs, backend=backend
-            )
-            assert batch.telemetry.backend == backend
-            assert [r.score for r in batch.results] == [
-                r.score for r in reference.results
-            ]
-            assert [r.cigar for r in batch.results] == [
-                r.cigar for r in reference.results
-            ]
-            assert batch.stats == reference.stats
-
 
 class TestResilienceFallback:
     def test_persistent_fault_degrades_identically(self):
@@ -261,7 +237,7 @@ class TestResilienceFallback:
                 max_retries=1,
             )
 
-        reference = run(DEFAULT_BACKEND)
+        reference = run(REFERENCE)
         assert reference.telemetry.resilience.fallbacks >= 1
         for backend in CHALLENGERS:
             batch = run(backend)
@@ -316,7 +292,7 @@ class TestResilienceFallback:
                 cross_check=True,
             )
 
-        reference = run(DEFAULT_BACKEND)
+        reference = run(REFERENCE)
         for backend in CHALLENGERS:
             batch = run(backend)
             assert (

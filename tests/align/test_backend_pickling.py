@@ -41,7 +41,7 @@ def test_backend_singleton_round_trips(backend_name):
 @pytest.mark.parametrize("cls", GMX_ALIGNERS, ids=lambda c: c.__name__)
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_configured_aligner_round_trips(cls, backend_name):
-    aligner = cls(tile_size=8).with_backend(backend_name)
+    aligner = cls(tile_size=8, backend=backend_name)
     restored = pickle.loads(pickle.dumps(aligner))
     assert type(restored) is cls
     assert restored.backend.name == backend_name
@@ -55,15 +55,10 @@ def test_configured_aligner_round_trips(cls, backend_name):
     )
 
 
-@pytest.mark.skipif(
-    "bitpar" not in BACKENDS, reason="bitpar backend unavailable"
-)
 def test_pool_run_with_bitpar_matches_serial_pure():
     pairs = generate_pair_set("pickle-pool", 90, 0.08, 8, seed=19)
-    reference = align_batch(FullGmxAligner(), list(pairs))
-    batch = align_batch(
-        FullGmxAligner(backend="bitpar"), list(pairs), workers=2, shard_size=3
-    )
+    reference = align_batch(FullGmxAligner(backend="pure"), list(pairs))
+    batch = align_batch(FullGmxAligner(), list(pairs), workers=2, shard_size=3)
     # The run must have used a real pool — a silent inline fallback would
     # mean the backend broke picklability.
     assert batch.telemetry.executor != "inline"
@@ -80,7 +75,8 @@ def test_pool_run_with_bitpar_matches_serial_pure():
 
 def test_repro004_lint_covers_backend_objects():
     # The repo invariant lint's picklability probe walks backends and
-    # backend-configured aligners; a clean run is the standing proof.
+    # every aligner built with each backend; a clean run is the standing
+    # proof.
     from repro.analysis.repolint import check_aligner_picklability
 
     assert check_aligner_picklability() == []

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutate_dna, random_dna, scalar_edit_distance
-from repro.align import BandedGmxAligner
+from repro.align import (
+    AutoAligner,
+    BandedGmxAligner,
+    FullGmxAligner,
+    WindowedGmxAligner,
+)
 from repro.align.banded_gmx import BandExceededError
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=60)
@@ -90,3 +95,15 @@ class TestCostAdvantage:
         text = random_dna(200, rng)
         result = BandedGmxAligner(tile_size=8).align(pattern, text)
         assert result.score == scalar_edit_distance(pattern, text)
+
+
+class TestTileSizeValidation:
+    @pytest.mark.parametrize("size", [0, 1, -3])
+    @pytest.mark.parametrize(
+        "cls",
+        [FullGmxAligner, BandedGmxAligner, WindowedGmxAligner, AutoAligner],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_constructor_rejects_tile_size_below_two(self, cls, size):
+        with pytest.raises(ValueError, match=f"at least 2, got {size}$"):
+            cls(tile_size=size)

@@ -26,7 +26,7 @@ from repro.align import (
     FullGmxAligner,
     WindowedGmxAligner,
 )
-from repro.align.backends import DEFAULT_BACKEND, backend_names
+from repro.align.backends import backend_names
 from repro.baselines import (
     BpmAligner,
     EdlibAligner,
@@ -44,12 +44,12 @@ MAX_ERROR = 0.40
 CASES_PER_KERNEL = 64
 SEED_BASE = 0x5EED
 
-#: Every registered, importable kernel backend (pure is always first).
+#: Every registered kernel backend (pure is always first).
 BACKENDS = tuple(backend_names())
 
 #: name -> (factory(backend) -> aligner, kernel is exact for every input).
 #: Baseline factories ignore the backend argument — they have no tile
-#: kernel to swap — and run only under the default backend id.
+#: kernel to swap — and run once, under the ``pure`` id.
 KERNELS = {
     "full-gmx": (
         lambda backend: FullGmxAligner(tile_size=TILE_SIZE, backend=backend),
@@ -92,7 +92,7 @@ def sweep_params():
     """(kernel, backend) matrix: GMX kernels x all backends, rest x pure."""
     params = []
     for kernel in sorted(KERNELS):
-        backends = BACKENDS if kernel in BACKEND_CAPABLE else (DEFAULT_BACKEND,)
+        backends = BACKENDS if kernel in BACKEND_CAPABLE else ("pure",)
         for backend in backends:
             params.append(pytest.param(kernel, backend, id=f"{kernel}-{backend}"))
     return params

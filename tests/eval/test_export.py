@@ -77,18 +77,16 @@ class TestRunAll:
             assert entry["align_ns"]["count"] == entry["pairs"], name
 
     def test_backends_stamp_embedded(self, all_results):
-        import os
-
-        from repro.align.backends import BACKEND_ENV, backend_names
+        from repro.align.backends import backend_names
 
         status = all_results["backends"]
         assert status["identical"] is True
-        assert status["default"] == "pure"
-        assert status["ambient"] == os.environ.get(BACKEND_ENV, "pure")
+        assert status["default"] == "bitpar"
+        assert "ambient" not in status
         assert status["badge"].startswith("backends:")
         roster = {entry["name"] for entry in status["registered"]}
         assert {"pure", "bitpar"} <= roster
-        # Every available non-default backend was differentially checked.
+        # Every backend but the pure reference was differentially checked.
         assert set(status["checked"]) == set(backend_names()) - {"pure"}
         assert status["checked_pairs"] > 0
 

@@ -58,6 +58,16 @@ class TestGenerateAndPairs:
         out = capsys.readouterr().out
         assert out.count("score=") == 4
 
+    def test_batch_stats_name_the_bitpar_engine(self, tmp_path, capsys):
+        path = str(tmp_path / "pairs.seq")
+        assert (
+            main(["generate", "--length", "40", "--count", "3", "--out", path])
+            == 0
+        )
+        capsys.readouterr()
+        assert main(["align", "--pairs", path, "--stats"]) == 0
+        assert " backend=bitpar" in capsys.readouterr().out
+
 
 class TestExperiment:
     @pytest.mark.parametrize("name", ["memory", "tilecost", "table1", "table2",

@@ -59,6 +59,35 @@ class TestBadFlags:
         assert code == 0
         assert "align" in out
 
+    @pytest.mark.parametrize("size", ["0", "1", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            pytest.param(["align", "ACGTAC", "ACGAAC"], id="align"),
+            pytest.param(
+                ["align", "ACGTAC", "ACGAAC", "--algorithm", "banded-gmx"],
+                id="align-banded",
+            ),
+            pytest.param(["serve"], id="serve"),
+            pytest.param(["dist", "worker"], id="dist-worker"),
+            pytest.param(
+                ["dist", "coordinator", "--node", "http://127.0.0.1:1",
+                 "--pairs", "pairs.seq"],
+                id="dist-coordinator",
+            ),
+            pytest.param(["design"], id="design"),
+            pytest.param(["lint"], id="lint"),
+            pytest.param(["sanitize"], id="sanitize"),
+        ],
+    )
+    def test_tile_size_below_two(self, command, size, capsys):
+        code, out, err = run(command + ["--tile-size", size], capsys)
+        assert code == 2
+        assert not out
+        assert "Traceback" not in err
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        assert f"tile size must be at least 2, got {size}" in line
+
 
 class TestBadFiles:
     def test_missing_pairs_file(self, capsys, tmp_path):
