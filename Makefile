@@ -8,10 +8,12 @@
 # run; the campaign falls back to the inline executor on hosts without
 # usable multiprocessing, so the target degrades gracefully everywhere.
 # `test-backends` runs the kernel-backend suites (registry, differential
-# fuzz, pickling, backend-parameterized conformance) and the speedup gate
-# that maintains BENCH_backends.json.  There is no engine setting to
-# sweep: the GMX aligners run `bitpar`, and each suite names `pure`
-# itself wherever it needs the reference, so one run covers both.
+# fuzz, pickling, backend-parameterized conformance), the speedup gate
+# that maintains BENCH_backends.json, and the end-to-end smoke (all four
+# benchmark workloads at 2% scale through their replay, BPM and
+# Hirschberg oracles).  There is no engine setting to sweep: the GMX
+# aligners run `bitpar`, and each suite names `pure` itself wherever it
+# needs the reference, so one run covers both.
 # `test-cov` runs the fast suite under pytest-cov and enforces COV_MIN
 # (skipped with a notice when pytest-cov is not installed — the repro
 # container ships without it; CI installs it in the coverage job).
@@ -74,6 +76,7 @@ test-backends:
 		tests/align/test_backend_pickling.py \
 		tests/conformance
 	$(PYTEST) -q benchmarks/test_backend_speedup.py
+	$(PYTEST) -q benchmarks/e2e/test_e2e_smoke.py
 
 serve-test:
 	$(PYTEST) -q tests/serve

@@ -17,10 +17,12 @@ images ``M[i][j] = (ΔV_out, ΔH_out)`` plus the bottom-row ΔH stream — from
     character advances *all* tile rows with a single Myers/Hyyrö column
     step (:func:`repro.core.tile.advance_column`) — O(1) big-int ops per
     column instead of O(tiles) tile instructions of O(T) Python work.
-    Tile edge images are extracted from the bitvectors only where the
-    matrix is stored, so scores, CIGARs and :class:`KernelStats` are
-    byte-identical to ``pure`` (block-equivalence of the Myers recurrence:
-    both engines compute the unique Δ values of the same DP matrix).
+    When traceback is requested it keeps each text column's Δv=+1 and
+    Δh=+1 masks instead of tile edge images, and the aligners walk the
+    CC_TB rule on those columns instead of recomputing tiles with
+    ``gmx.tb``.  Scores, CIGARs and :class:`KernelStats` are byte-identical
+    to ``pure`` (block-equivalence of the Myers recurrence: both engines
+    compute the unique Δ values of the same DP matrix).
 
 Every GMX aligner runs ``bitpar`` unless its constructor is given
 ``backend="pure"``, which is how the reference suites and the speedup
@@ -39,7 +41,7 @@ import abc
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from ..core.bitvec import mask, pack_plus_minus, unpack_deltas
+from ..core.bitvec import mask, unpack_deltas
 from ..core.isa import GmxIsa
 from ..core.tile import advance_column, build_peq
 from .base import KernelStats
@@ -92,7 +94,7 @@ class FullMatrixRequest:
         tile_size: T.
         top_fill: top-boundary ΔH fill value (+1, or 0 for INFIX mode).
         fused: retire ``gmx.vh`` instead of the ``gmx.v``/``gmx.h`` pair.
-        store_matrix: store tile edge images for traceback.
+        traceback: keep what traceback reads (see :class:`FullMatrixResult`).
         boundary_v / boundary_h: packed boundary edge images per chunk.
     """
 
@@ -104,9 +106,25 @@ class FullMatrixRequest:
     tile_size: int
     top_fill: int
     fused: bool
-    store_matrix: bool
+    traceback: bool
     boundary_v: List[int]
     boundary_h: List[int]
+
+
+@dataclass
+class ColumnMasks:
+    """What ``bitpar`` keeps of its fill for traceback, per text column j.
+
+    Bit ``r`` of ``dv_plus[j]`` / ``dh_plus[j]`` is set iff Δv / Δh of DP
+    row ``offsets[j] + r`` is +1: the post-step ``pv`` and the pre-shift
+    ``ph`` of :func:`~repro.core.tile.advance_column`, the two masks the
+    CC_TB rule reads.  Full keeps whole-pattern columns (offset 0);
+    Banded keeps each column's band segment.
+    """
+
+    offsets: List[int]
+    dv_plus: List[int]
+    dh_plus: List[int]
 
 
 @dataclass
@@ -114,24 +132,27 @@ class FullMatrixResult:
     """Outputs of a Full(GMX) DP-matrix phase.
 
     Attributes:
-        matrix: ``M[i][j] = (ΔV_out, ΔH_out)`` images (None when the
-            request did not store the matrix).
         bottom_deltas: ΔH values along the bottom matrix row, one per
             text column.
+        matrix: ``M[i][j] = (ΔV_out, ΔH_out)`` images (``pure``, when
+            traceback was requested).
+        columns: every text column's Δ masks (``bitpar``, when traceback
+            was requested).
     """
 
-    matrix: Optional[List[List[Tuple[int, int]]]]
     bottom_deltas: List[int]
+    matrix: Optional[List[List[Tuple[int, int]]]] = None
+    columns: Optional[ColumnMasks] = None
 
 
 @dataclass
 class BandedMatrixRequest:
     """Inputs of a Banded(GMX) band pass (one fixed band width).
 
-    Attributes are as in :class:`FullMatrixRequest` plus:
+    Attributes are as in :class:`FullMatrixRequest`, except that
+    ``boundary_v``/``boundary_h`` (all +1) also fill every edge entering
+    the band from an uncomputed neighbour, plus:
         tile_band: band half-width in tile units.
-        plus_fill_v / plus_fill_h: packed +1-fill images for edges entering
-            the band from uncomputed neighbours.
     """
 
     isa: GmxIsa
@@ -141,11 +162,9 @@ class BandedMatrixRequest:
     t_chunks: List[str]
     tile_size: int
     tile_band: int
-    store_matrix: bool
+    traceback: bool
     boundary_v: List[int]
     boundary_h: List[int]
-    plus_fill_v: List[int]
-    plus_fill_h: List[int]
 
 
 @dataclass
@@ -153,14 +172,17 @@ class BandedMatrixResult:
     """Outputs of a Banded(GMX) band pass.
 
     Attributes:
-        matrix: in-band tile edge images keyed by (tile_row, tile_col)
-            (empty when the request did not store the matrix).
         bottoms: per tile column, the packed ΔH image of the lowest
             in-band tile's bottom edge (the band-bottom score stream).
+        matrix: in-band tile edge images keyed by (tile_row, tile_col)
+            (``pure``, when traceback was requested).
+        columns: every text column's Δ masks over its band segment
+            (``bitpar``, when traceback was requested).
     """
 
-    matrix: Dict[Tuple[int, int], Tuple[int, int]]
     bottoms: List[int]
+    matrix: Optional[Dict[Tuple[int, int], Tuple[int, int]]] = None
+    columns: Optional[ColumnMasks] = None
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +242,7 @@ class PureTileBackend(KernelBackend):
         n_tiles = len(request.p_chunks)
         m_tiles = len(request.t_chunks)
         matrix: Optional[List[List[Tuple[int, int]]]] = None
-        if request.store_matrix:
+        if request.traceback:
             matrix = [[(0, 0)] * m_tiles for _ in range(n_tiles)]
         bottom_deltas: List[int] = []
         dv_column = list(request.boundary_v)
@@ -252,7 +274,7 @@ class PureTileBackend(KernelBackend):
                 stats.tiles += 1
             bottom_deltas.extend(unpack_deltas(dh_down, len(text_chunk)))
             stats.add_instr("int_alu", 3)
-        return FullMatrixResult(matrix=matrix, bottom_deltas=bottom_deltas)
+        return FullMatrixResult(bottom_deltas=bottom_deltas, matrix=matrix)
 
     def banded_matrix(self, request: BandedMatrixRequest) -> BandedMatrixResult:
         isa = request.isa
@@ -260,7 +282,9 @@ class PureTileBackend(KernelBackend):
         edge_bytes = _edge_bytes(request.tile_size)
         n_tiles = len(request.p_chunks)
         bt = request.tile_band
-        matrix: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        matrix: Optional[Dict[Tuple[int, int], Tuple[int, int]]] = None
+        if request.traceback:
+            matrix = {}
         bottoms: List[int] = []
         dv_prev: Dict[int, int] = {}
         for tj, text_chunk in enumerate(request.t_chunks):
@@ -274,24 +298,13 @@ class PureTileBackend(KernelBackend):
             for ti in range(lo, hi + 1):
                 pattern_chunk = request.p_chunks[ti]
                 isa.csrw("gmx_pattern", pattern_chunk)
-                if tj == 0:
-                    dv_in = request.boundary_v[ti]
-                elif ti in dv_prev:
-                    dv_in = dv_prev[ti]
-                else:
-                    dv_in = request.plus_fill_v[ti]
-                if ti == lo:
-                    if ti == 0:
-                        dh_in = request.boundary_h[tj]
-                    else:
-                        dh_in = request.plus_fill_h[tj]
-                else:
-                    dh_in = dh_down
+                dv_in = dv_prev.get(ti, request.boundary_v[ti])
+                dh_in = request.boundary_h[tj] if ti == lo else dh_down
                 dv_out = isa.gmx_v(dv_in, dh_in)
                 dh_out = isa.gmx_h(dv_in, dh_in)
                 dv_cur[ti] = dv_out
                 dh_down = dh_out
-                if request.store_matrix:
+                if matrix is not None:
                     matrix[(ti, tj)] = (dv_out, dh_out)
                     stats.dp_bytes_written += 2 * edge_bytes
                     stats.add_instr("store", 2)
@@ -304,64 +317,12 @@ class PureTileBackend(KernelBackend):
             dv_prev = dv_cur
             bottoms.append(dh_down)
             stats.add_instr("int_alu", 3)
-        return BandedMatrixResult(matrix=matrix, bottoms=bottoms)
+        return BandedMatrixResult(bottoms=bottoms, matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
 # bitpar: whole-pattern big-integer bitvectors.
 # ---------------------------------------------------------------------------
-
-
-def _tile_column_edges(
-    pv: int,
-    mv: int,
-    phs: List[int],
-    mhs: List[int],
-    tiles: int,
-    last_rows: int,
-    tile: int,
-) -> List[Tuple[int, int]]:
-    """Packed ``(ΔV_out, ΔH_out)`` images of each tile row of one tile column.
-
-    The bitvectors span a row segment that starts on a tile boundary and
-    holds ``tiles`` tile rows: T rows each, except the last, which has
-    ``last_rows``.  ``pv``/``mv`` are the ΔV masks after the tile column's
-    last text column; ``phs``/``mhs`` hold each text column's pre-shift Δh
-    masks (see :func:`~repro.core.tile.advance_column`).
-
-    Tile row k's ΔH_out taps bit ``k·T + T − 1`` of every column.  Shifting
-    column c's taps right by ``T − 1 − c`` lands them on bit ``k·T + c``,
-    so OR-ing the shifted taps of all columns builds every full tile row's
-    ΔH_out at once, in T-bit blocks; the last (maybe partial) tile row is
-    tapped on its own into the last block.
-    """
-    last_end = (tiles - 1) * tile + last_rows - 1
-    taps = int("1".ljust(tile, "0") * (tiles - 1) or "0", 2)
-    acc_p = acc_m = last_p = last_m = 0
-    for c, (ph, mh) in enumerate(zip(phs, mhs)):
-        shift = tile - 1 - c
-        acc_p |= (ph & taps) >> shift
-        acc_m |= (mh & taps) >> shift
-        last_p |= ((ph >> last_end) & 1) << c
-        last_m |= ((mh >> last_end) & 1) << c
-    # One interleave for both edges: ΔV blocks low, ΔH blocks above them.
-    dh_base = tiles * tile
-    last_base = dh_base + (tiles - 1) * tile
-    packed = pack_plus_minus(
-        pv | (acc_p << dh_base) | (last_p << last_base),
-        mv | (acc_m << dh_base) | (last_m << last_base),
-    )
-    dh_packed = packed >> (2 * dh_base)
-    dv_mask = mask(2 * tile)
-    dh_mask = mask(2 * len(phs))
-    stride = 2 * tile
-    return [
-        (
-            (packed >> (stride * k)) & dv_mask,
-            (dh_packed >> (stride * k)) & dh_mask,
-        )
-        for k in range(tiles)
-    ]
 
 
 class BitparTileBackend(KernelBackend):
@@ -370,11 +331,11 @@ class BitparTileBackend(KernelBackend):
     One :func:`~repro.core.tile.advance_column` call advances every tile
     row at once: the (Pv, Mv) pair spans the entire pattern as one big
     integer, so each text character costs O(1) big-int operations instead
-    of one Python-level tile loop per tile row.  Edge images for the
-    traceback matrix are extracted from the bitvectors at tile-row
-    boundaries; retired-instruction and stats accounting reproduces the
-    ``pure`` recipes in bulk, so the two backends are indistinguishable
-    downstream.
+    of one Python-level tile loop per tile row.  For traceback the fill
+    keeps every text column's Δ masks (:class:`ColumnMasks`), which the
+    aligners walk directly; retired-instruction and stats accounting
+    reproduces the ``pure`` recipes in bulk, so the two backends are
+    indistinguishable downstream.
     """
 
     name = "bitpar"
@@ -383,39 +344,30 @@ class BitparTileBackend(KernelBackend):
     # -- full matrix --------------------------------------------------------
 
     def full_matrix(self, request: FullMatrixRequest) -> FullMatrixResult:
-        tile = request.tile_size
         pattern = request.pattern
         n = len(pattern)
-        m_tiles = len(request.t_chunks)
-        store = request.store_matrix
         peq = build_peq(pattern)
         n_tiles = len(request.p_chunks)
-        last_rows = len(request.p_chunks[-1])
         pv = mask(n)  # left boundary: every ΔV is +1
         mv = 0
-        matrix: Optional[List[List[Tuple[int, int]]]] = None
-        if store:
-            matrix = [[(0, 0)] * m_tiles for _ in range(n_tiles)]
+        keep_columns = request.traceback
+        dv_plus: List[int] = []
+        dh_plus: List[int] = []
         bottom_deltas: List[int] = []
-        for j, text_chunk in enumerate(request.t_chunks):
-            phs: List[int] = []
-            mhs: List[int] = []
+        for text_chunk in request.t_chunks:
             for text_char in text_chunk:
-                pv, mv, h_out, ph, mh = advance_column(
+                pv, mv, h_out, ph, _ = advance_column(
                     peq.get(text_char, 0), pv, mv, request.top_fill, n
                 )
                 bottom_deltas.append(h_out)
-                if store:
-                    phs.append(ph)
-                    mhs.append(mh)
-            if store:
-                edges = _tile_column_edges(
-                    pv, mv, phs, mhs, n_tiles, last_rows, tile
-                )
-                for i, edge in enumerate(edges):
-                    matrix[i][j] = edge
+                if keep_columns:
+                    dv_plus.append(pv)
+                    dh_plus.append(ph)
             self._account_full_column(request, n, n_tiles, len(text_chunk))
-        return FullMatrixResult(matrix=matrix, bottom_deltas=bottom_deltas)
+        columns = None
+        if keep_columns:
+            columns = ColumnMasks([0] * len(dv_plus), dv_plus, dh_plus)
+        return FullMatrixResult(bottom_deltas=bottom_deltas, columns=columns)
 
     def _account_full_column(
         self, request: FullMatrixRequest, rows: int, n_tiles: int, cols: int
@@ -434,7 +386,7 @@ class BitparTileBackend(KernelBackend):
         stats.add_instr("branch", n_tiles + 1)
         stats.add_instr("load", 2 * n_tiles)
         stats.dp_bytes_read += 2 * edge_bytes * n_tiles
-        if request.store_matrix:
+        if request.traceback:
             stats.add_instr("store", 2 * n_tiles)
             stats.dp_bytes_written += 2 * edge_bytes * n_tiles
         stats.dp_cells += rows * cols
@@ -446,10 +398,8 @@ class BitparTileBackend(KernelBackend):
         tile = request.tile_size
         pattern = request.pattern
         n = len(pattern)
-        p_chunks = request.p_chunks
-        n_tiles = len(p_chunks)
+        n_tiles = len(request.p_chunks)
         bt = request.tile_band
-        store = request.store_matrix
         peq = build_peq(pattern)
         # The +1 boundary and the +1 band fill coincide, and the band
         # interval of each tile row is contiguous, so initialising every
@@ -458,7 +408,10 @@ class BitparTileBackend(KernelBackend):
         # enters the band, and never read again after it leaves.
         pv = mask(n)
         mv = 0
-        matrix: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        keep_columns = request.traceback
+        offsets: List[int] = []
+        dv_plus: List[int] = []
+        dh_plus: List[int] = []
         bottoms: List[int] = []
         for tj, text_chunk in enumerate(request.t_chunks):
             lo = max(0, tj - bt)
@@ -469,34 +422,31 @@ class BitparTileBackend(KernelBackend):
             span_mask = mask(span)
             seg_pv = (pv >> lo_base) & span_mask
             seg_mv = (mv >> lo_base) & span_mask
-            phs: List[int] = []
-            mhs: List[int] = []
             bottom_image = 0
             for c, text_char in enumerate(text_chunk):
                 peq_char = (peq.get(text_char, 0) >> lo_base) & span_mask
                 # The band-top ΔH fill (boundary or +1 fill) is always +1.
-                seg_pv, seg_mv, h_out, ph, mh = advance_column(
+                seg_pv, seg_mv, h_out, ph, _ = advance_column(
                     peq_char, seg_pv, seg_mv, 1, span
                 )
                 if h_out > 0:
                     bottom_image |= 1 << (2 * c)
                 elif h_out < 0:
                     bottom_image |= 1 << (2 * c + 1)
-                if store:
-                    phs.append(ph)
-                    mhs.append(mh)
+                if keep_columns:
+                    dv_plus.append(seg_pv)
+                    dh_plus.append(ph)
+            if keep_columns:
+                offsets.extend([lo_base] * len(text_chunk))
             keep = ~(span_mask << lo_base)
             pv = (pv & keep) | (seg_pv << lo_base)
             mv = (mv & keep) | (seg_mv << lo_base)
-            if store:
-                edges = _tile_column_edges(
-                    seg_pv, seg_mv, phs, mhs, hi - lo + 1, len(p_chunks[hi]), tile
-                )
-                for ti, edge in enumerate(edges, start=lo):
-                    matrix[(ti, tj)] = edge
             bottoms.append(bottom_image)
             self._account_banded_column(request, span, hi - lo + 1, len(text_chunk))
-        return BandedMatrixResult(matrix=matrix, bottoms=bottoms)
+        columns = None
+        if keep_columns:
+            columns = ColumnMasks(offsets, dv_plus, dh_plus)
+        return BandedMatrixResult(bottoms=bottoms, columns=columns)
 
     def _account_banded_column(
         self, request: BandedMatrixRequest, rows: int, tiles: int, cols: int
@@ -512,7 +462,7 @@ class BitparTileBackend(KernelBackend):
         stats.add_instr("branch", tiles + 1)
         stats.add_instr("load", 2 * tiles)
         stats.dp_bytes_read += 2 * edge_bytes * tiles
-        if request.store_matrix:
+        if request.traceback:
             stats.add_instr("store", 2 * tiles)
             stats.dp_bytes_written += 2 * edge_bytes * tiles
         stats.dp_cells += rows * cols

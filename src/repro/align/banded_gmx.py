@@ -16,9 +16,9 @@ so it remains an exact algorithm with banded cost on low-divergence pairs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from ..core.bitvec import pack_deltas, unpack_deltas
+from ..core.bitvec import mask, pack_plus_minus, unpack_deltas
 from ..core.cigar import (
     Alignment,
     OP_DELETION,
@@ -30,12 +30,13 @@ from ..core.tile import DEFAULT_TILE_SIZE
 from ..obs import runtime as obs
 from .backends import (
     BandedMatrixRequest,
+    BandedMatrixResult,
     KernelBackend,
     effective_backend,
     get_backend,
 )
 from .base import Aligner, AlignmentResult, BandExceededError, KernelStats
-from .full_gmx import _chunks, _edge_bytes, _walk_tiles
+from .full_gmx import _chunks, _edge_bytes, _walk_columns, _walk_tiles
 
 __all__ = ["BandExceededError", "BandedGmxAligner"]
 
@@ -138,10 +139,10 @@ class BandedGmxAligner(Aligner):
         n_tiles = len(p_chunks)
         bt = self._tile_band(band)
 
-        boundary_v = [pack_deltas([1] * len(chunk)) for chunk in p_chunks]
-        boundary_h = [pack_deltas([1] * len(chunk)) for chunk in t_chunks]
-        plus_fill_v = [pack_deltas([1] * len(chunk)) for chunk in p_chunks]
-        plus_fill_h = [pack_deltas([1] * len(chunk)) for chunk in t_chunks]
+        # All +1: the matrix boundary, and the fill entering the band
+        # from uncomputed neighbours.
+        plus_v = [pack_plus_minus(mask(len(chunk)), 0) for chunk in p_chunks]
+        plus_h = [pack_plus_minus(mask(len(chunk)), 0) for chunk in t_chunks]
 
         def rows_through(tile_row: int) -> int:
             """Number of pattern rows covered by tile rows 0..tile_row."""
@@ -158,14 +159,11 @@ class BandedGmxAligner(Aligner):
                 t_chunks=t_chunks,
                 tile_size=tile,
                 tile_band=bt,
-                store_matrix=traceback,
-                boundary_v=boundary_v,
-                boundary_h=boundary_h,
-                plus_fill_v=plus_fill_v,
-                plus_fill_h=plus_fill_h,
+                traceback=traceback,
+                boundary_v=plus_v,
+                boundary_h=plus_h,
             )
         )
-        matrix = outcome.matrix
 
         # Running D value at (bottom in-band row, right edge of the column):
         # walk the band bottom down the +1 fill, then along each column's
@@ -180,8 +178,12 @@ class BandedGmxAligner(Aligner):
 
         stats.hot_bytes = max(stats.hot_bytes or 0, edge_bytes * (2 * bt + 2))
         if traceback:
+            band_tiles = sum(
+                min(n_tiles - 1, tj + bt) - max(0, tj - bt) + 1
+                for tj in range(len(t_chunks))
+            )
             stats.dp_bytes_peak = max(
-                stats.dp_bytes_peak, 2 * edge_bytes * len(matrix)
+                stats.dp_bytes_peak, 2 * edge_bytes * band_tiles
             )
         else:
             stats.dp_bytes_peak = max(
@@ -191,8 +193,8 @@ class BandedGmxAligner(Aligner):
         alignment = None
         if traceback:
             ops = self._traceback(
-                isa, stats, pattern, text, p_chunks, t_chunks, matrix,
-                boundary_v, boundary_h, plus_fill_v, plus_fill_h, bt,
+                isa, stats, pattern, text, p_chunks, t_chunks, outcome,
+                plus_v, plus_h, bt,
             )
             # Inside the band the path cost equals the corner value; report
             # the path's own cost so a non-certified (heuristic) result still
@@ -216,11 +218,9 @@ class BandedGmxAligner(Aligner):
         text: str,
         p_chunks: List[str],
         t_chunks: List[str],
-        matrix: Dict[Tuple[int, int], Tuple[int, int]],
-        boundary_v: List[int],
-        boundary_h: List[int],
-        plus_fill_v: List[int],
-        plus_fill_h: List[int],
+        outcome: BandedMatrixResult,
+        plus_v: List[int],
+        plus_h: List[int],
         bt: int,
     ) -> List[str]:
         tile = self.tile_size
@@ -232,30 +232,30 @@ class BandedGmxAligner(Aligner):
                 f"({ti}, {tj}); widen the band"
             )
 
-        def edges(ti: int, tj: int) -> Tuple[int, int]:
-            if (ti, tj) not in matrix:
-                raise BandExceededError(
-                    f"traceback left the computed band at tile ({ti}, {tj})"
-                )
-            if tj == 0:
-                dv_in = boundary_v[ti]
-            elif (ti, tj - 1) in matrix:
-                dv_in = matrix[(ti, tj - 1)][0]
-            else:
-                dv_in = plus_fill_v[ti]
-            if ti == 0:
-                dh_in = boundary_h[tj]
-            elif (ti - 1, tj) in matrix:
-                dh_in = matrix[(ti - 1, tj)][1]
-            else:
-                dh_in = plus_fill_h[tj]
-            return dv_in, dh_in
-
         isa.csrw("gmx_pos", encode_pos(tile - 1, tile - 1, tile))
-        reversed_ops, gi, gj = _walk_tiles(
-            isa, stats, p_chunks, t_chunks, edges,
-            ti, tj, len(pattern) - 1, len(text) - 1,
-        )
+        if outcome.columns is not None:
+            reversed_ops, gi, gj = _walk_columns(
+                isa, stats, pattern, text, outcome.columns,
+                len(pattern) - 1, len(text) - 1, tile_band=bt,
+            )
+        else:
+            matrix = outcome.matrix
+
+            def edges(ti: int, tj: int) -> Tuple[int, int]:
+                if (ti, tj) not in matrix:
+                    raise BandExceededError(
+                        f"traceback left the computed band at tile ({ti}, {tj})"
+                    )
+                left = matrix.get((ti, tj - 1))
+                above = matrix.get((ti - 1, tj))
+                dv_in = left[0] if left else plus_v[ti]
+                dh_in = above[1] if above else plus_h[tj]
+                return dv_in, dh_in
+
+            reversed_ops, gi, gj = _walk_tiles(
+                isa, stats, p_chunks, t_chunks, edges,
+                ti, tj, len(pattern) - 1, len(text) - 1,
+            )
         reversed_ops.extend([OP_DELETION] * (gi + 1))
         reversed_ops.extend([OP_INSERTION] * (gj + 1))
         reversed_ops.reverse()

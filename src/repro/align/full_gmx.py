@@ -3,7 +3,8 @@
 Implements the paper's Algorithm 1 (DP-matrix computation) and Algorithm 2
 (traceback) on top of the functional GMX ISA model.  The matrix ``M`` of tile
 edge vectors — two 2T-bit register images per tile — is the *only* DP state
-ever stored, a factor-T reduction over element-wise algorithms.
+the program stores, a factor-T reduction over element-wise algorithms
+(``KernelStats`` models it on either engine).
 
 Besides the paper's global alignment, the aligner supports the PREFIX and
 INFIX anchoring modes of :class:`~repro.align.base.AlignmentMode` — in
@@ -22,25 +23,38 @@ RISC-V code the paper compiles):
 * per tile (traceback phase): 1 ``gmx.tb``, 3 ``csrr`` + 2 ``csrw``,
   2 loads, 6 int ops, 2 branches, and 2 stores dumping the raw encoded
   gmx_hi/gmx_lo alignment (operations stay 2-bit encoded in memory).
+
+Traceback runs Algorithm 2 on ``pure``, one ``gmx.tb`` per tile on the
+path (:func:`_walk_tiles`).  ``bitpar`` kept every text column's Δ masks
+during the fill, so :func:`_walk_columns` walks the same path on those
+and retires the same per-tile recipe in bulk.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple, Union
 
-from ..core.bitvec import pack_deltas
+from ..core.bitvec import mask, pack_plus_minus
 from ..core.cigar import Alignment, OP_DELETION, OP_INSERTION
 from ..core.isa import GmxIsa, encode_pos
 from ..core.tile import DEFAULT_TILE_SIZE
-from ..core.traceback import NextTile
+from ..core.traceback import NextTile, walk_masks
 from ..obs import runtime as obs
 from .backends import (
+    ColumnMasks,
     FullMatrixRequest,
+    FullMatrixResult,
     KernelBackend,
     effective_backend,
     get_backend,
 )
-from .base import Aligner, AlignmentMode, AlignmentResult, KernelStats
+from .base import (
+    Aligner,
+    AlignmentMode,
+    AlignmentResult,
+    BandExceededError,
+    KernelStats,
+)
 
 
 def _edge_bytes(tile_size: int) -> int:
@@ -53,6 +67,21 @@ def _chunks(sequence: str, tile_size: int) -> List[str]:
     return [
         sequence[k : k + tile_size] for k in range(0, len(sequence), tile_size)
     ]
+
+
+def _charge_tb_tiles(stats: KernelStats, edge_bytes: int, tiles: int) -> None:
+    """Algorithm 2's software around ``gmx.tb``, for ``tiles`` tiles.
+
+    Per tile: 2 loads of the input edges, 6 int ops, 2 branches, and 2
+    stores dumping the raw encoded gmx_hi/gmx_lo alignment (the ops stay
+    2-bit encoded in memory).
+    """
+    stats.dp_bytes_read += 2 * edge_bytes * tiles
+    stats.add_instr("load", 2 * tiles)
+    stats.add_instr("int_alu", 6 * tiles)
+    stats.add_instr("branch", 2 * tiles)
+    stats.add_instr("store", 2 * tiles)
+    stats.dp_bytes_written += 2 * edge_bytes * tiles
 
 
 def _walk_tiles(
@@ -87,17 +116,10 @@ def _walk_tiles(
         isa.csrr("gmx_hi")
         isa.csrr("gmx_lo")
         isa.csrr("gmx_pos")
-        stats.dp_bytes_read += 2 * edge_bytes
-        stats.add_instr("load", 2)
-        stats.add_instr("int_alu", 6)
-        stats.add_instr("branch", 2)
+        _charge_tb_tiles(stats, edge_bytes, 1)
         reversed_ops.extend(result.ops)
         gi -= result.rows_walked
         gj -= result.cols_walked
-        # Algorithm 2 dumps the raw encoded alignment: two stores of
-        # gmx_hi/gmx_lo per tile (the ops stay 2-bit encoded in memory).
-        stats.add_instr("store", 2)
-        stats.dp_bytes_written += 2 * edge_bytes
         if result.next_tile is NextTile.DIAGONAL:
             ti -= 1
             tj -= 1
@@ -105,6 +127,56 @@ def _walk_tiles(
             ti -= 1
         else:
             tj -= 1
+    return reversed_ops, gi, gj
+
+
+def _walk_columns(
+    isa: GmxIsa,
+    stats: KernelStats,
+    pattern: str,
+    text: str,
+    columns: ColumnMasks,
+    gi: int,
+    gj: int,
+    tile_band: Optional[int] = None,
+) -> Tuple[List[str], int, int]:
+    """:func:`_walk_tiles` on the fill's kept column masks, with no recompute.
+
+    ``gmx.tb`` rebuilds each tile's Δ values from its stored edges; the
+    ``columns`` already hold them, so the same CC_TB walk
+    (:func:`~repro.core.traceback.walk_masks`) runs on them tile by tile
+    from global cell ``(gi, gj)`` and takes the same path.  Every tile
+    the path crosses retires :func:`_walk_tiles`'s per-tile recipe, in
+    bulk.  With a ``tile_band``, entering a tile more than ``tile_band``
+    tiles off the diagonal retires the tiles already walked and raises
+    :class:`BandExceededError`, as a banded ``edges`` does.
+
+    Returns:
+        (the walked ops in reverse order, final gi, final gj).
+    """
+    tile = isa.tile_size
+    reversed_ops: List[str] = []
+    tiles = 0
+    off_band = None
+    while gi >= 0 and gj >= 0:
+        ti = gi // tile
+        tj = gj // tile
+        if tile_band is not None and abs(ti - tj) > tile_band:
+            off_band = (ti, tj)
+            break
+        tiles += 1
+        gi, gj = walk_masks(
+            pattern, text, columns.dv_plus, columns.dh_plus, reversed_ops,
+            gi, gj, ti * tile, tj * tile, columns.offsets[gj],
+        )
+    isa.retired["csrw"] += 2 * tiles
+    isa.retired["gmx.tb"] += tiles
+    isa.retired["csrr"] += 3 * tiles
+    _charge_tb_tiles(stats, _edge_bytes(tile), tiles)
+    if off_band is not None:
+        raise BandExceededError(
+            f"traceback left the computed band at tile {off_band}"
+        )
     return reversed_ops, gi, gj
 
 
@@ -169,16 +241,16 @@ class FullGmxAligner(Aligner):
         n_tiles = len(p_chunks)
         m_tiles = len(t_chunks)
 
-        boundary_v = [pack_deltas([1] * len(chunk)) for chunk in p_chunks]
+        boundary_v = [pack_plus_minus(mask(len(chunk)), 0) for chunk in p_chunks]
         top_fill = 0 if self.mode is AlignmentMode.INFIX else 1
         boundary_h = [
-            pack_deltas([top_fill] * len(chunk)) for chunk in t_chunks
+            pack_plus_minus(top_fill * mask(len(chunk)), 0) for chunk in t_chunks
         ]
 
         # ---- Algorithm 1: tile-wise DP-matrix computation (column-major) ----
-        # The backend produces M[i][j] = (ΔV_out, ΔH_out) register images
-        # plus the bottom-row ΔH stream; everything downstream (score,
-        # traceback, stats folding) is backend-independent.
+        # The backend produces the bottom-row ΔH stream plus, for
+        # traceback, the M[i][j] = (ΔV_out, ΔH_out) register images (pure)
+        # or every text column's Δ masks (bitpar).
         with obs.span(
             "phase.compute",
             kernel="full_gmx",
@@ -195,18 +267,16 @@ class FullGmxAligner(Aligner):
                     tile_size=tile,
                     top_fill=top_fill,
                     fused=self.fused,
-                    store_matrix=traceback,
+                    traceback=traceback,
                     boundary_v=boundary_v,
                     boundary_h=boundary_h,
                 )
             )
-        matrix = outcome.matrix
-        bottom_deltas = outcome.bottom_deltas
 
-        score, end_column = self._score(len(pattern), bottom_deltas)
+        score, end_column = self._score(len(pattern), outcome.bottom_deltas)
 
         stats.hot_bytes = edge_bytes * (n_tiles + 1)
-        if matrix is not None:
+        if traceback:
             stats.dp_bytes_peak = 2 * edge_bytes * n_tiles * m_tiles
         else:
             stats.dp_bytes_peak = stats.hot_bytes
@@ -216,7 +286,7 @@ class FullGmxAligner(Aligner):
         if traceback:
             with obs.span("phase.traceback", kernel="full_gmx"):
                 ops, start_column = self._traceback(
-                    isa, stats, pattern, text, p_chunks, t_chunks, matrix,
+                    isa, stats, pattern, text, p_chunks, t_chunks, outcome,
                     boundary_v, boundary_h, end_column,
                 )
             alignment = Alignment(
@@ -273,12 +343,12 @@ class FullGmxAligner(Aligner):
         text: str,
         p_chunks: List[str],
         t_chunks: List[str],
-        matrix: List[List[Tuple[int, int]]],
+        outcome: FullMatrixResult,
         boundary_v: List[int],
         boundary_h: List[int],
         end_column: int,
     ) -> Tuple[List[str], int]:
-        """Algorithm 2: tile-wise traceback via ``gmx.tb``.
+        """Algorithm 2: tile-wise traceback.
 
         Returns (ops, start column of the covered text span).
         """
@@ -289,16 +359,23 @@ class FullGmxAligner(Aligner):
             # Whole pattern against an empty text prefix: pure deletions.
             return [OP_DELETION] * len(pattern), end_column
 
-        def edges(ti: int, tj: int) -> Tuple[int, int]:
-            dv_in = matrix[ti][tj - 1][0] if tj > 0 else boundary_v[ti]
-            dh_in = matrix[ti - 1][tj][1] if ti > 0 else boundary_h[tj]
-            return dv_in, dh_in
-
         isa.csrw("gmx_pos", encode_pos(tile - 1, gj % tile, tile))
-        reversed_ops, gi, gj = _walk_tiles(
-            isa, stats, p_chunks, t_chunks, edges,
-            len(p_chunks) - 1, gj // tile, gi, gj,
-        )
+        if outcome.columns is not None:
+            reversed_ops, gi, gj = _walk_columns(
+                isa, stats, pattern, text, outcome.columns, gi, gj
+            )
+        else:
+            matrix = outcome.matrix
+
+            def edges(ti: int, tj: int) -> Tuple[int, int]:
+                dv_in = matrix[ti][tj - 1][0] if tj > 0 else boundary_v[ti]
+                dh_in = matrix[ti - 1][tj][1] if ti > 0 else boundary_h[tj]
+                return dv_in, dh_in
+
+            reversed_ops, gi, gj = _walk_tiles(
+                isa, stats, p_chunks, t_chunks, edges,
+                len(p_chunks) - 1, gj // tile, gi, gj,
+            )
         # Finish along the matrix boundary.
         reversed_ops.extend([OP_DELETION] * (gi + 1))
         if self.mode is AlignmentMode.INFIX:

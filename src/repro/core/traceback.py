@@ -5,8 +5,10 @@ recomputes the tile interior from the stored edge vectors (exactly what the
 GMX-TB hardware does) and then walks the alignment path backwards from a
 start position on the tile's bottom or right edge until it leaves the tile
 through the top or left edge.  The recomputation is bit-parallel — one
-column step per text column, not one scalar GMXΔ per cell — so
-traceback runs at the speed of the fill kernel on every backend.
+column step per text column, not one scalar GMXΔ per cell.  The ``pure``
+engine runs it once per tile on the path; ``bitpar`` keeps its fill's
+column masks and walks the same rule on them without a recompute (see
+:func:`repro.align.full_gmx._walk_columns`).
 
 The walk at a cell (i, j) applies the CC_TB priority rule (Figure 8):
 
@@ -202,21 +204,7 @@ def traceback_tile_masks(
         dv_plus.append(pv)
         dh_plus.append(col_ph)
     ops: List[str] = []
-    while i >= 0 and j >= 0:
-        if pattern[i] == text[j]:
-            ops.append(OP_MATCH)
-            i -= 1
-            j -= 1
-        elif (dv_plus[j] >> i) & 1:
-            ops.append(OP_DELETION)
-            i -= 1
-        elif (dh_plus[j] >> i) & 1:
-            ops.append(OP_INSERTION)
-            j -= 1
-        else:
-            ops.append(OP_MISMATCH)
-            i -= 1
-            j -= 1
+    i, j = walk_masks(pattern, text, dv_plus, dh_plus, ops, i, j)
     if i < 0 and j < 0:
         next_tile = NextTile.DIAGONAL
         next_pos = (tile_size - 1, tile_size - 1)
@@ -227,6 +215,45 @@ def traceback_tile_masks(
         next_tile = NextTile.LEFT
         next_pos = (i, tile_size - 1)
     return TileTraceback(ops=tuple(ops), next_tile=next_tile, next_pos=next_pos)
+
+
+def walk_masks(
+    pattern: str,
+    text: str,
+    dv_plus: Sequence[int],
+    dh_plus: Sequence[int],
+    ops: List[str],
+    i: int,
+    j: int,
+    top: int = 0,
+    left: int = 0,
+    offset: int = 0,
+) -> Tuple[int, int]:
+    """Walk the CC_TB priority rule backwards from cell ``(i, j)``.
+
+    Bit ``i - offset`` of ``dv_plus[j]`` / ``dh_plus[j]`` is set iff Δv /
+    Δh of cell ``(i, j)`` is +1.  The walk appends its ops to ``ops`` in
+    walk order and stops on the first cell above row ``top`` or left of
+    column ``left``, which it returns.  :func:`traceback_tile_masks` runs
+    it on one recomputed tile; the ``bitpar`` engine runs it on the
+    columns its fill kept (:func:`repro.align.full_gmx._walk_columns`).
+    """
+    while i >= top and j >= left:
+        if pattern[i] == text[j]:
+            ops.append(OP_MATCH)
+            i -= 1
+            j -= 1
+        elif (dv_plus[j] >> (i - offset)) & 1:
+            ops.append(OP_DELETION)
+            i -= 1
+        elif (dh_plus[j] >> (i - offset)) & 1:
+            ops.append(OP_INSERTION)
+            j -= 1
+        else:
+            ops.append(OP_MISMATCH)
+            i -= 1
+            j -= 1
+    return i, j
 
 
 def pack_tile_ops(

@@ -130,10 +130,16 @@ class DistWorker:
 
 
 class DistWorkerHandler(BaseHTTPRequestHandler):
-    """Routes node HTTP traffic into the shared :class:`DistWorker`."""
+    """Routes node HTTP traffic into the shared :class:`DistWorker`.
+
+    Responses leave in one write, as on the serve handler
+    (:class:`~repro.serve.http.AlignmentRequestHandler`).
+    """
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-dist-worker/1.0"
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     @property
     def worker(self) -> DistWorker:

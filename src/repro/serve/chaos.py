@@ -9,8 +9,9 @@ drill proves it end to end:
 1. compute the expected results serially (:func:`align_batch`);
 2. boot a process-mode service with caching off (every pair must be
    *computed*, not remembered);
-3. submit the full workload, then SIGKILL a deterministically chosen
-   pool worker while shards are in flight;
+3. submit the full workload; the pool worker that picks up a
+   deterministically chosen pair SIGKILLs itself before aligning it, so
+   the kill always lands on a shard in flight, however fast the kernel;
 4. gather every future and compare (score, cigar) lists against serial.
 
 Wired to ``repro chaos --serve`` and the chaos-marked test suite.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import os
 import signal
-import time
+import tempfile
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -71,6 +72,33 @@ class ServeChaosReport:
         return "\n".join(lines)
 
 
+class _WorkerKillingAligner(FullGmxAligner):
+    """Full(GMX) whose pool worker dies on ``victim``, once.
+
+    The first pool worker to align the victim pair writes its pid to
+    ``marker`` and SIGKILLs itself.  Later calls find the marker and
+    align normally, and so does the serving process itself, which runs
+    the lost shard again inline.
+    """
+
+    def __init__(self, victim: Tuple[str, str], marker: str):
+        super().__init__()
+        self.victim = victim
+        self.marker = marker
+        self.server_pid = os.getpid()
+
+    def align(self, pattern, text, *, traceback=True):
+        if (
+            (pattern, text) == self.victim
+            and os.getpid() != self.server_pid
+            and not os.path.exists(self.marker)
+        ):
+            with open(self.marker, "w") as handle:
+                handle.write(str(os.getpid()))
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().align(pattern, text, traceback=traceback)
+
+
 def run_serve_chaos(
     *,
     seed: int = 7,
@@ -96,8 +124,12 @@ def run_serve_chaos(
         coalesce_max_pairs=4,  # many small shards -> a live backlog to hit
         max_inflight=max(pairs * 2, 64),
     )
-    service = AlignmentService(FullGmxAligner(), config=config)
-    with service:
+    workdir = tempfile.TemporaryDirectory(prefix="serve-chaos-")
+    marker = os.path.join(workdir.name, "killed.pid")
+    service = AlignmentService(
+        _WorkerKillingAligner(workload[seed % pairs], marker), config=config
+    )
+    with workdir, service:
         if not service.pool.process_mode:
             # No processes to kill: report the degrade honestly instead of
             # pretending the drill ran.
@@ -123,21 +155,16 @@ def run_serve_chaos(
         futures = [
             service.submit(pattern, text) for pattern, text in workload
         ]
-
-        # Choose the victim deterministically and strike while shards are
-        # still in flight.
-        pids = service.pool.worker_pids()
-        victim = pids[seed % len(pids)] if pids else None
-        if victim is not None:
-            time.sleep(0.01)  # let the first shards reach the pool
-            os.kill(victim, signal.SIGKILL)
-
         rows: List[Tuple[int, str]] = []
         completed = 0
         for future in futures:
             result = future.result(timeout=config.request_timeout)
             rows.append((result.score, result.cigar))
             completed += 1
+        victim = None
+        if os.path.exists(marker):
+            with open(marker) as handle:
+                victim = int(handle.read())
 
     identical = rows == expected_rows
     return ServeChaosReport(

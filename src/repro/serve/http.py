@@ -90,10 +90,18 @@ def _parse_align_request(body: bytes) -> Tuple[List[Tuple[str, str]], bool]:
 
 
 class AlignmentRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP traffic into the shared :class:`AlignmentService`."""
+    """Routes HTTP traffic into the shared :class:`AlignmentService`.
+
+    Each response leaves in one write: ``wfile`` is buffered, so the
+    headers and the body go out together when ``handle_one_request``
+    flushes.  Sent as two writes, the body would wait on Nagle's
+    algorithm for the client's delayed ACK of the headers (~40 ms).
+    """
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> AlignmentService:

@@ -7,10 +7,13 @@ and the same :class:`~repro.align.base.KernelStats` as the pure reference
 loop — the backends differ only in how fast they get there.
 
 The sweep is seeded (replayable) and mixes random pairs with adversarial
-shapes: tile-boundary lengths, band-edge indel runs, tie-break-heavy
-repeats, and single-character extremes.  A final test drives the
-resilience engine's degradation chain to show the equivalence holds even
-when a persistent fault forces the BPM fallback path.
+shapes: tile-boundary lengths, partial last tiles, band-edge indel runs,
+tie-break-heavy repeats, anchored-mode end columns, and single-character
+extremes.  ``bitpar`` tracebacks walk the fill's kept columns while
+``pure`` runs ``gmx.tb`` per tile, so every traceback compared here is a
+check of the one against the other.  A final test drives the resilience
+engine's degradation chain to show the equivalence holds even when a
+persistent fault forces the BPM fallback path.
 """
 
 import random
@@ -26,6 +29,7 @@ from repro.align import (
     WindowedGmxAligner,
 )
 from repro.align.backends import backend_names
+from repro.core.isa import GmxIsa
 
 TILE = 8
 SEED = 0xD1FF
@@ -44,6 +48,8 @@ ADVERSARIAL = (
     ("A" * (TILE - 1), "A" * (TILE + 1)),
     ("ACGTACGTA" * 3, "ACGTACGTA" * 3 + "T"),
     ("C" * (4 * TILE - 1), "C" * (4 * TILE + 1)),
+    # Partial last tile row (2T + 5 rows) and column (3T + 2 columns).
+    ("GATTACA" * 3, "GATTACCA" * 3 + "GA"),
     # Band-edge shapes: long indel runs that ride the band boundary.
     ("ACGT" * 8, "ACGT" * 8 + "TTTTTTTT"),
     ("GGGGGGGG" + "ACGT" * 6, "ACGT" * 6),
@@ -56,6 +62,24 @@ ADVERSARIAL = (
     ("A", "T"),
     ("A", "T" * (2 * TILE)),
     ("ACGT" * TILE, "TGCA" * TILE),
+)
+
+#: Pairs whose PREFIX/INFIX best end column lies inside a tile (columns
+#: 6, 15 and 1 at T = 8) or is column 0 (an all-mismatch pattern: every
+#: op is a deletion and the traceback starts outside the matrix).
+MODE_ENDS = (
+    ("ACGTAC", "ACGTAC" + "G" * 11),
+    ("TTGCA", "C" * 10 + "TTGCA" + "C" * 7),
+    ("AAAA", "T" * 12),
+)
+
+#: Pairs whose traceback leaves a 2-cell band at T = 2 after walking
+#: tiles: upward out of the band's top (the first two, after 11 and 1
+#: tiles) and leftward out of its bottom (the last, after 10 tiles).
+BAND_EXITS = (
+    ("CCTCTCATGAGTGA", "GGGCGTTCGTGTAGC"),
+    ("AAAG", "CGCCCA"),
+    ("CGTTCATGCTATA", "TTAGCGCCGATATC"),
 )
 
 
@@ -97,12 +121,15 @@ def outcome(aligner, pattern, text):
 
 
 def assert_identical(make_aligner, pairs):
-    """Every challenger matches pure on every pair, field for field."""
+    """Every challenger matches pure on every pair, field for field.
+
+    Returns the reference outcomes.
+    """
     reference = make_aligner(REFERENCE)
+    expected_outcomes = [outcome(reference, p, t) for p, t in pairs]
     for backend in CHALLENGERS:
         challenger = make_aligner(backend)
-        for pattern, text in pairs:
-            expected = outcome(reference, pattern, text)
+        for (pattern, text), expected in zip(pairs, expected_outcomes):
             got = outcome(challenger, pattern, text)
             assert got == expected, (
                 f"backend {backend!r} diverged from {REFERENCE!r}\n"
@@ -112,6 +139,7 @@ def assert_identical(make_aligner, pairs):
                 f"  pure   : {expected[:2]}\n"
                 f"  {backend:<7}: {got[:2]}"
             )
+    return expected_outcomes
 
 
 class TestFullGmx:
@@ -121,12 +149,19 @@ class TestFullGmx:
     @pytest.mark.parametrize("fused", (False, True), ids=("plain", "fused"))
     def test_random_sweep(self, mode, fused):
         salt = 100 * self.MODES.index(mode) + int(fused)
-        assert_identical(
-            lambda b: FullGmxAligner(
-                tile_size=TILE, mode=mode, fused=fused, backend=b
-            ),
-            random_pairs(40, seed=SEED + salt),
+        pairs = (
+            random_pairs(40, seed=SEED + salt)
+            + list(ADVERSARIAL)
+            + list(MODE_ENDS)
         )
+        # T = 2 crosses a tile boundary on almost every traceback step.
+        for tile in (TILE, 2):
+            assert_identical(
+                lambda b, t=tile: FullGmxAligner(
+                    tile_size=t, mode=mode, fused=fused, backend=b
+                ),
+                pairs,
+            )
 
     def test_adversarial(self):
         assert_identical(
@@ -163,6 +198,12 @@ class TestBandedGmx:
             lambda b: BandedGmxAligner(tile_size=TILE, backend=b),
             random_pairs(40, seed=SEED + 1) + list(ADVERSARIAL),
         )
+        # A 2-cell band at T = 2: passes fail mid-traceback and widen, and
+        # the failed passes' stats carry into the result.
+        assert_identical(
+            lambda b: BandedGmxAligner(band=2, tile_size=2, backend=b),
+            random_pairs(40, seed=SEED + 6) + list(BAND_EXITS),
+        )
 
     def test_fixed_band_including_matching_failures(self):
         # A tight fixed band must fail (BandExceededError) on exactly the
@@ -174,6 +215,19 @@ class TestBandedGmx:
             ),
             random_pairs(40, seed=SEED + 2) + list(ADVERSARIAL),
         )
+        # At T = 2 a 2-cell band also fails after the traceback has
+        # walked some tiles.
+        outcomes = assert_identical(
+            lambda b: BandedGmxAligner(
+                band=2, auto_widen=False, tile_size=2, backend=b
+            ),
+            random_pairs(40, seed=SEED + 6) + list(BAND_EXITS),
+        )
+        assert outcomes[-len(BAND_EXITS):] == [
+            ("BandExceededError",
+             f"traceback left the computed band at tile {tile}")
+            for tile in ((0, 2), (0, 2), (2, 0))
+        ]
 
     def test_band_edge_indel_runs(self):
         # Deletions/insertions sized to land on the band boundary.
@@ -197,6 +251,29 @@ class TestDrivers:
             lambda b: AutoAligner(tile_size=TILE, backend=b),
             random_pairs(20, seed=SEED + 4) + list(ADVERSARIAL),
         )
+
+
+class TestTracebackEngine:
+    """``bitpar`` walks its kept columns; only ``pure`` runs ``gmx.tb``."""
+
+    @pytest.mark.parametrize(
+        "cls",
+        (FullGmxAligner, BandedGmxAligner, WindowedGmxAligner, AutoAligner),
+        ids=lambda c: c.__name__,
+    )
+    def test_default_engine_never_runs_gmx_tb(self, cls, monkeypatch):
+        pairs = random_pairs(10, seed=SEED + 9) + list(ADVERSARIAL)
+        reference = cls(tile_size=TILE, backend=REFERENCE)
+        expected = [outcome(reference, p, t) for p, t in pairs]
+
+        def no_tile_recompute(self, rs1, rs2):
+            raise AssertionError("gmx.tb ran")
+
+        monkeypatch.setattr(GmxIsa, "gmx_tb", no_tile_recompute)
+        default = cls(tile_size=TILE)
+        assert [outcome(default, p, t) for p, t in pairs] == expected
+        with pytest.raises(AssertionError, match="gmx.tb ran"):
+            reference.align("A" * TILE, "A" * TILE)
 
 
 class TestResilienceFallback:

@@ -220,3 +220,17 @@ def test_direct_execute_checks_fingerprint():
             )
     finally:
         worker.close()
+
+
+def test_keep_alive_requests_are_not_stalled(node):
+    # Each response must leave in one write (see the serve twin in
+    # tests/serve/test_http.py): a split one stalls ~40 ms a request.
+    client, _worker, _aligner = node
+    for _ in range(5):  # leaves TCP quick-ACK mode
+        client.get("/health")
+    started = time.perf_counter()
+    for _ in range(10):
+        status, _body = client.get("/health")
+        assert status == 200
+    elapsed = time.perf_counter() - started
+    assert elapsed < 0.2, f"10 keep-alive requests took {elapsed:.3f} s"

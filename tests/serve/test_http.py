@@ -3,6 +3,7 @@
 import http.client
 import json
 import threading
+import time
 from urllib.parse import urlsplit
 
 import pytest
@@ -264,3 +265,21 @@ def test_saturation_returns_429_with_retry_after():
                 gate.set()
                 blocker.close()
                 prober.close()
+
+
+def test_keep_alive_requests_are_not_stalled(server):
+    # Each response must leave in one write.  Headers and body sent as two
+    # writes wait on Nagle's algorithm for the client's delayed ACK, which
+    # costs ~40 ms a request on a keep-alive connection.
+    client, _service, _url = server
+    pattern, text = _workload(count=1)[0]
+    request = {"pattern": pattern, "text": text}
+    for _ in range(5):  # computes once, then leaves TCP quick-ACK mode
+        client.post("/align", request)
+    started = time.perf_counter()
+    for _ in range(10):
+        status, _headers, payload = client.post("/align", request)
+        assert status == 200
+        assert payload["results"][0]["cached"] is True
+    elapsed = time.perf_counter() - started
+    assert elapsed < 0.2, f"10 keep-alive requests took {elapsed:.3f} s"
