@@ -7,7 +7,7 @@
 # `test-chaos` runs the fault-injection campaigns plus a CLI-level chaos
 # run; the campaign falls back to the inline executor on hosts without
 # usable multiprocessing, so the target degrades gracefully everywhere.
-# `test-backends` runs the kernel-backend suites (registry, differential
+# `test-backends` runs the kernel-backend suites (engine table, differential
 # fuzz, pickling, backend-parameterized conformance), the speedup gate
 # that maintains BENCH_backends.json, and the end-to-end smoke (all four
 # benchmark workloads at 2% scale through their replay, BPM and
@@ -26,8 +26,8 @@
 # `sanitize` runs the concurrency & determinism sanitizer: the
 # worker-reachability scan plus guarded/shadow execution (`repro
 # sanitize`), its violation-corpus self-check (which must exit non-zero),
-# the sanitizer unit suites, and the conformance suite with the runtime
-# guards armed (`--sanitize`).
+# the sanitizer unit suites, and the conformance suite with the
+# batch-boundary leak checks armed (`--sanitize`).
 # `serve-test` runs the alignment-service suites (cache, coalescer, pool
 # lifecycle, service, HTTP, obs drain, load smoke) plus the serving-path
 # chaos drill through the CLI (`repro chaos --serve`).

@@ -14,7 +14,6 @@ from .backends import (
     KernelBackend,
     backend_names,
     get_backend,
-    register_backend,
 )
 from .banded_gmx import BandExceededError, BandedGmxAligner
 from .batch import BatchResult, align_batch
@@ -69,5 +68,4 @@ __all__ = [
     "trim_insertion_flanks",
     "get_backend",
     "iter_shards",
-    "register_backend",
 ]

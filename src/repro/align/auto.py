@@ -17,9 +17,9 @@ it chose, so pipelines can audit the decisions.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
-from .backends import KernelBackend, get_backend
+from .backends import get_backend
 from .banded_gmx import BandedGmxAligner
 from .base import Aligner, AlignmentResult
 from .full_gmx import _edge_bytes
@@ -36,8 +36,8 @@ class AutoAligner(Aligner):
         require_exact: when True, never fall back to the windowed
             heuristic; raise instead if the budget cannot be met.
         tile_size: T for all engines.
-        backend: kernel backend shared by all engines; ``None`` is
-            ``bitpar`` (see :mod:`repro.align.backends`).
+        backend: name of the kernel backend shared by all engines;
+            ``None`` is ``bitpar`` (see :mod:`repro.align.backends`).
     """
 
     name = "Auto(GMX)"
@@ -48,7 +48,7 @@ class AutoAligner(Aligner):
         memory_budget_bytes: int = 64 * 1024 * 1024,
         require_exact: bool = False,
         tile_size: int = 32,
-        backend: Union[None, str, KernelBackend] = None,
+        backend: Optional[str] = None,
     ):
         if memory_budget_bytes < 1024:
             raise ValueError(
@@ -58,12 +58,14 @@ class AutoAligner(Aligner):
         self.require_exact = require_exact
         self.tile_size = tile_size
         self.backend = get_backend(backend)
-        self._banded = BandedGmxAligner(tile_size=tile_size, backend=self.backend)
-        self._windowed = WindowedGmxAligner(
-            tile_size=tile_size, backend=self.backend
-        )
-        #: Engine chosen by the most recent :meth:`align` call.
-        self.last_choice: Optional[str] = None
+        self._banded = BandedGmxAligner(tile_size=tile_size, backend=backend)
+        self._windowed = WindowedGmxAligner(tile_size=tile_size, backend=backend)
+        self._last_choice: Optional[str] = None
+
+    @property
+    def last_choice(self) -> Optional[str]:
+        """Engine chosen by the most recent :meth:`align` call."""
+        return self._last_choice
 
     def _edge_matrix_bytes(self, n: int, m: int) -> int:
         tiles = -(-n // self.tile_size) * -(-m // self.tile_size)
@@ -78,12 +80,12 @@ class AutoAligner(Aligner):
         if footprint <= self.memory_budget_bytes:
             # Banded auto-widening degenerates gracefully to Full: in the
             # worst case (band = max length) it computes the same tiles.
-            self.last_choice = "Banded(GMX)"
+            self._last_choice = "Banded(GMX)"
             return self._banded.align(pattern, text, traceback=traceback)
         if self.require_exact:
             raise MemoryError(
                 f"exact alignment needs {footprint} bytes of edge state, "
                 f"over the {self.memory_budget_bytes}-byte budget"
             )
-        self.last_choice = "Windowed(GMX)"
+        self._last_choice = "Windowed(GMX)"
         return self._windowed.align(pattern, text, traceback=traceback)

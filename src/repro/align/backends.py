@@ -1,4 +1,4 @@
-"""Kernel backend registry: interchangeable tile-matrix compute engines.
+"""Kernel backends: the two tile-matrix compute engines.
 
 The GMX aligners (:class:`~repro.align.full_gmx.FullGmxAligner`,
 :class:`~repro.align.banded_gmx.BandedGmxAligner` and everything layered on
@@ -24,6 +24,11 @@ images ``M[i][j] = (ΔV_out, ΔH_out)`` plus the bottom-row ΔH stream — from
     to ``pure`` (block-equivalence of the Myers recurrence: both engines
     compute the unique Δ values of the same DP matrix).
 
+Both engines are built once, at import, into a read-only table:
+:func:`get_backend` looks one up by name and :func:`backend_names` lists
+them.  Nothing adds, replaces or fills an engine after import, so every
+pool worker holds the same two engines as its parent.
+
 Every GMX aligner runs ``bitpar`` unless its constructor is given
 ``backend="pure"``, which is how the reference suites and the speedup
 gate name the reference.  The one exception is made here, by
@@ -39,7 +44,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.bitvec import mask, unpack_deltas
 from ..core.isa import GmxIsa
@@ -49,7 +55,6 @@ from .base import KernelStats
 __all__ = [
     "DEFAULT_BACKEND",
     "BackendError",
-    "BackendSpec",
     "BandedMatrixRequest",
     "BandedMatrixResult",
     "BitparTileBackend",
@@ -58,10 +63,8 @@ __all__ = [
     "KernelBackend",
     "PureTileBackend",
     "backend_names",
-    "backend_specs",
     "effective_backend",
     "get_backend",
-    "register_backend",
 ]
 
 #: The engine of every aligner not built with ``backend="pure"``.
@@ -197,8 +200,11 @@ class KernelBackend(abc.ABC):
     into pool workers; all per-alignment state lives in the request.
     """
 
-    #: Registry name (the aligners' ``backend=`` spelling).
+    #: Engine name (the aligners' ``backend=`` spelling).
     name: str = "?"
+
+    #: One-line summary for the ``experiment all`` backends stamp.
+    description: str = ""
 
     #: True when the backend retires each ISA instruction individually, so
     #: IsaEvent traces and fault hooks observe every tile in flight.  Only
@@ -233,6 +239,7 @@ class PureTileBackend(KernelBackend):
     """
 
     name = "pure"
+    description = "reference engine: one ISA tile instruction per tile"
     observes_isa = True
 
     def full_matrix(self, request: FullMatrixRequest) -> FullMatrixResult:
@@ -339,6 +346,7 @@ class BitparTileBackend(KernelBackend):
     """
 
     name = "bitpar"
+    description = "whole-pattern big-integer Myers/Hyyrö bitvectors"
     observes_isa = False
 
     # -- full matrix --------------------------------------------------------
@@ -470,83 +478,34 @@ class BitparTileBackend(KernelBackend):
 
 
 # ---------------------------------------------------------------------------
-# Registry.
+# The two engines, built once at import.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BackendSpec:
-    """Registry entry for one kernel backend.
-
-    Attributes:
-        name: registry spelling (the aligners' ``backend=`` argument).
-        factory: zero-argument constructor of the backend singleton.
-        description: one-line summary for the eval badge.
-    """
-
-    name: str
-    factory: Callable[[], KernelBackend]
-    description: str
-
-
-_REGISTRY: Dict[str, BackendSpec] = {}
-_INSTANCES: Dict[str, KernelBackend] = {}
-
-
-def register_backend(
-    name: str,
-    factory: Callable[[], KernelBackend],
-    *,
-    description: str = "",
-) -> None:
-    """Register a kernel backend under ``name``.
-
-    Raises:
-        BackendError: if the name is already taken.
-    """
-    if name in _REGISTRY:
-        raise BackendError(f"backend {name!r} is already registered")
-    _REGISTRY[name] = BackendSpec(
-        name=name, factory=factory, description=description
-    )
-
-
-def backend_specs() -> Tuple[BackendSpec, ...]:
-    """Every registered backend spec, in registration order."""
-    return tuple(_REGISTRY.values())
+_ENGINES: Mapping[str, KernelBackend] = MappingProxyType(
+    {engine.name: engine for engine in (PureTileBackend(), BitparTileBackend())}
+)
 
 
 def backend_names() -> Tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return tuple(_REGISTRY)
+    """Engine names, the reference first."""
+    return tuple(_ENGINES)
 
 
-def get_backend(
-    backend: Union[None, str, KernelBackend] = None
-) -> KernelBackend:
-    """Resolve a backend selector to a backend instance.
-
-    ``None`` is :data:`DEFAULT_BACKEND`; a string is looked up in the
-    registry (instances are cached singletons); an instance passes
-    through.
+def get_backend(name: Optional[str] = None) -> KernelBackend:
+    """The engine called ``name``; ``None`` is :data:`DEFAULT_BACKEND`.
 
     Raises:
-        BackendError: unknown name.
+        BackendError: ``name`` is not an engine name (an engine instance
+            is not accepted either: engines are chosen by name).
     """
-    if isinstance(backend, KernelBackend):
-        return backend
-    if backend is None:
-        backend = DEFAULT_BACKEND
-    spec = _REGISTRY.get(backend)
-    if spec is None:
-        known = ", ".join(backend_names())
+    engine = _ENGINES.get(DEFAULT_BACKEND if name is None else name)
+    if engine is None:
+        known = ", ".join(_ENGINES)
         raise BackendError(
-            f"unknown kernel backend {backend!r} (registered: {known})"
+            f"unknown kernel backend {name!r} (registered: {known})"
         )
-    if backend not in _INSTANCES:
-        # The sanitizer session pre-warms and then guards this dict.
-        _INSTANCES[backend] = spec.factory()  # dsan: allow[REPRO009] singleton fill
-    return _INSTANCES[backend]
+    return engine
 
 
 def effective_backend(backend: KernelBackend, isa: GmxIsa) -> KernelBackend:
@@ -564,14 +523,3 @@ def effective_backend(backend: KernelBackend, isa: GmxIsa) -> KernelBackend:
         return get_backend("pure")
     return backend
 
-
-register_backend(
-    "pure",
-    PureTileBackend,
-    description="reference engine: one ISA tile instruction per tile",
-)
-register_backend(
-    "bitpar",
-    BitparTileBackend,
-    description="whole-pattern big-integer Myers/Hyyrö bitvectors",
-)

@@ -16,7 +16,7 @@ so it remains an exact algorithm with banded cost on low-divergence pairs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from ..core.bitvec import mask, pack_plus_minus, unpack_deltas
 from ..core.cigar import (
@@ -31,7 +31,6 @@ from ..obs import runtime as obs
 from .backends import (
     BandedMatrixRequest,
     BandedMatrixResult,
-    KernelBackend,
     effective_backend,
     get_backend,
 )
@@ -54,9 +53,8 @@ class BandedGmxAligner(Aligner):
         trace_sink: when given, every banded pass appends its retired
             :class:`~repro.core.isa.IsaEvent` stream to this list — the
             input of the static program verifier (:mod:`repro.analysis`).
-        backend: kernel backend computing the band passes — a registered
-            name or a :class:`~repro.align.backends.KernelBackend`
-            instance; ``None`` is ``bitpar``.
+        backend: name of the kernel backend computing the band passes;
+            ``None`` is ``bitpar``.
     """
 
     name = "Banded(GMX)"
@@ -68,7 +66,7 @@ class BandedGmxAligner(Aligner):
         auto_widen: bool = True,
         tile_size: int = DEFAULT_TILE_SIZE,
         trace_sink: Optional[List] = None,
-        backend: Union[None, str, KernelBackend] = None,
+        backend: Optional[str] = None,
     ):
         if band is not None and band < 1:
             raise ValueError(f"band must be positive, got {band}")

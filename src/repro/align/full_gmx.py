@@ -32,7 +32,7 @@ and retires the same per-tile recipe in bulk.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 from ..core.bitvec import mask, pack_plus_minus
 from ..core.cigar import Alignment, OP_DELETION, OP_INSERTION
@@ -44,7 +44,6 @@ from .backends import (
     ColumnMasks,
     FullMatrixRequest,
     FullMatrixResult,
-    KernelBackend,
     effective_backend,
     get_backend,
 )
@@ -192,10 +191,8 @@ class FullGmxAligner(Aligner):
         trace_sink: when given, every ``align`` call appends its retired
             :class:`~repro.core.isa.IsaEvent` stream to this list — the
             input of the static program verifier (:mod:`repro.analysis`).
-        backend: kernel backend computing the DP-matrix phase — a
-            registered name or a
-            :class:`~repro.align.backends.KernelBackend` instance; ``None``
-            is ``bitpar`` (see :mod:`repro.align.backends`).
+        backend: name of the kernel backend computing the DP-matrix
+            phase; ``None`` is ``bitpar`` (see :mod:`repro.align.backends`).
     """
 
     name = "Full(GMX)"
@@ -207,7 +204,7 @@ class FullGmxAligner(Aligner):
         *,
         fused: bool = False,
         trace_sink: Optional[List] = None,
-        backend: Union[None, str, KernelBackend] = None,
+        backend: Optional[str] = None,
     ):
         if tile_size < 2:
             raise ValueError(f"tile size must be at least 2, got {tile_size}")
@@ -395,7 +392,7 @@ def align_pair(
     tile_size: int = DEFAULT_TILE_SIZE,
     mode: AlignmentMode = AlignmentMode.GLOBAL,
     traceback: bool = True,
-    backend: Union[None, str, KernelBackend] = None,
+    backend: Optional[str] = None,
 ) -> AlignmentResult:
     """Align one pair with Full(GMX) — the library's front door.
 

@@ -100,7 +100,7 @@ class BatchTelemetry:
             :mod:`repro.resilience`; ``None`` for plain runs.
         backend: kernel backend name of the aligner (see
             :mod:`repro.align.backends`); ``None`` for aligners without a
-            pluggable kernel.
+            tile kernel.
     """
 
     workers: int

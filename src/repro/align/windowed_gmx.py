@@ -187,8 +187,8 @@ class WindowedGmxAligner(WindowedAligner):
         trace_sink: when given, every window's Full(GMX) run appends its
             retired instruction stream to this list (one program per
             window) for the static program verifier.
-        backend: kernel backend for the inner Full(GMX) windows; ``None``
-            is ``bitpar`` (see :mod:`repro.align.backends`).
+        backend: name of the kernel backend for the inner Full(GMX)
+            windows; ``None`` is ``bitpar`` (see :mod:`repro.align.backends`).
     """
 
     name = "Windowed(GMX)"
@@ -200,7 +200,7 @@ class WindowedGmxAligner(WindowedAligner):
         *,
         tile_size: int = DEFAULT_TILE_SIZE,
         trace_sink: List | None = None,
-        backend: "KernelBackend | str | None" = None,
+        backend: "str | None" = None,
     ):
         self.tile_size = tile_size
         super().__init__(

@@ -11,8 +11,8 @@ Three passes, one diagnostic vocabulary:
   (codes ``REPRO001``–``005``).
 * :mod:`repro.analysis.sanitizer` — the **concurrency & determinism
   sanitizer** ("dsan"): worker-reachability analysis (codes ``REPRO006``–
-  ``009``), registry guards with batch-boundary leak checks, and shadow
-  execution diffing parallel-vs-serial content digests.
+  ``009``), batch-boundary hook-leak checks, and shadow execution
+  diffing parallel-vs-serial content digests.
 
 Findings export as text, JSON, or SARIF (:mod:`repro.analysis.sarif`).
 See ``docs/analysis.md`` and ``docs/sanitizer.md`` for the diagnostic

@@ -17,7 +17,7 @@ Four contracts the type system cannot express, each with a stable
 * **REPRO004** — every default-constructible :class:`repro.align.base.Aligner`
   subclass must pickle round-trip, because :mod:`repro.align.parallel`
   ships aligners to worker processes.  The same contract covers the
-  kernel backend layer: every available registered backend round-trips,
+  kernel backend layer: both backends round-trip,
   and every backend-capable aligner round-trips *per backend* with the
   backend choice surviving the trip.
 * **REPRO005** — tests and benchmarks must use seeded RNGs: no unseeded
@@ -269,7 +269,7 @@ def check_aligner_picklability() -> List[Diagnostic]:
     their concrete default-constructible subclasses instead.
 
     Aligners whose constructor takes ``backend=`` (the GMX aligners) are
-    additionally built once per registered backend and round-tripped,
+    additionally built once per backend and round-tripped,
     asserting the restored instance still carries the same backend — the
     property the parallel engine relies on when a backend-configured
     aligner ships to a pool worker.  Backend singletons themselves

@@ -10,8 +10,8 @@ identical to a serial one:
   ambient-hook arming, wall-clock/unseeded-RNG use, and registry
   mutation in worker-reachable code;
 * **dynamic** (:mod:`~repro.analysis.sanitizer.guards` /
-  :mod:`~repro.analysis.sanitizer.shadow`) — registry guard objects,
-  batch-boundary hook-leak checks, and shadow execution diffing content
+  :mod:`~repro.analysis.sanitizer.shadow`) — batch-boundary and
+  session-exit hook-leak checks, and shadow execution diffing content
   digests of a seeded shard sample re-executed serially.
 
 ``repro sanitize`` drives both (:mod:`~repro.analysis.sanitizer.driver`);
@@ -20,7 +20,7 @@ whose disarmed cost is bounded <5% by ``benchmarks/test_sanitizer_overhead``.
 """
 
 from .driver import SanitizeReport, run_sanitize
-from .guards import GuardedMapping, SanitizerSession, sanitize
+from .guards import SanitizerSession, sanitize
 from .reachability import ScanConfig, ScanReport, scan_package, scan_tree
 from .runtime import SanitizerError, armed, batch_begin, batch_end
 from .sancorpus import ViolationCase, violation_corpus
@@ -34,7 +34,6 @@ from .shadow import (
 )
 
 __all__ = [
-    "GuardedMapping",
     "SanitizeReport",
     "SanitizerError",
     "SanitizerSession",

@@ -8,7 +8,7 @@
 * **guarded execution** — a seeded batch run through the parallel and
   resilient engines under an armed
   :func:`~repro.analysis.sanitizer.guards.sanitize` session, exercising
-  the registry guards and the batch-boundary leak checks on live code;
+  the batch-boundary and session-exit leak checks on live code;
 * **shadow execution** — seeded serial re-execution of sampled shards
   diffed against the parallel digests
   (:func:`~repro.analysis.sanitizer.shadow.shadow_execute`);
@@ -45,8 +45,7 @@ class SanitizeReport:
         dynamic_errors: :class:`SanitizerError` messages from guarded
             execution (empty on a healthy tree).
         scan: the package reachability scan (``None`` when skipped).
-        session: guarded-execution summary (batches checked, audited
-            registry mutations).
+        session: guarded-execution summary (batches checked).
         shadow: the shadow-execution report (``None`` when skipped).
         corpus_cases / corpus_matched: violation-corpus accounting.
         sections: pass name → diagnostics of that pass.
@@ -106,9 +105,7 @@ class SanitizeReport:
         if self.session is not None:
             lines.append(
                 f"guarded execution: "
-                f"{self.session['batches_checked']} batch boundaries checked, "
-                f"{self.session['registry_mutations_audited']} registry "
-                f"mutations audited"
+                f"{self.session['batches_checked']} batch boundaries checked"
             )
         for message in self.dynamic_errors:
             lines.append(f"dynamic violation: {message}")
@@ -254,7 +251,7 @@ def run_sanitize(
     Args:
         seed: seed for pair generation, shadow sampling, and the corpus.
         static: run the worker-reachability scan of the package.
-        dynamic: run the engines under registry guards and leak checks.
+        dynamic: run the engines under the batch-boundary leak checks.
         shadow: run shadow execution (serial re-execution + digest diff).
         corpus: also run the violation corpus (findings expected; the
             report goes dirty by construction).

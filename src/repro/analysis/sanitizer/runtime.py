@@ -33,9 +33,9 @@ _SESSION: Optional[object] = None
 class SanitizerError(RuntimeError):
     """A concurrency/determinism contract was violated under the sanitizer.
 
-    Raised by guard objects on cross-context mutation of a shared registry
-    and by the batch-boundary leak check when an ambient hook, trace sink,
-    or observability recorder survives a batch return or raise.
+    Raised by the batch-boundary leak check when an ambient hook, trace
+    sink, or observability recorder survives a batch return or raise, and
+    by the session-exit check when one survives the ``sanitize()`` block.
     """
 
 

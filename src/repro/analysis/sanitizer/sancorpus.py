@@ -13,8 +13,7 @@ gets the same treatment, on both sides:
   counterparts (the same shape written correctly) must produce zero
   findings — they pin down the rule boundaries, not just the rules.
 * **dynamic cases** — trigger callables that commit a runtime violation
-  (mutating a frozen registry, cross-thread cache writes, leaking an
-  ambient hook across a batch boundary) and must raise
+  (leaking an ambient hook across a batch boundary) and must raise
   :class:`~repro.analysis.sanitizer.runtime.SanitizerError` under an
   armed :func:`~repro.analysis.sanitizer.guards.sanitize` session.
 
@@ -26,7 +25,6 @@ exit code, which is the acceptance gate for the corpus.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -280,31 +278,7 @@ def _build(name):
     return cases
 
 
-def _dynamic_cases(seed: int) -> List[ViolationCase]:
-    def frozen_registry_write() -> None:
-        from ...align import backends
-
-        backends.register_backend(
-            f"dsan-corpus-{seed}", lambda: None, description="corpus probe"
-        )
-
-    def cross_thread_cache_write() -> None:
-        from ...align import backends
-
-        box: List[BaseException] = []
-
-        def attack() -> None:
-            try:
-                backends._INSTANCES[f"dsan-thread-{seed}"] = object()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                box.append(exc)
-
-        thread = threading.Thread(target=attack)
-        thread.start()
-        thread.join()
-        if box:
-            raise box[0]
-
+def _dynamic_cases() -> List[ViolationCase]:
     def batch_hook_leak() -> None:
         from ...obs import runtime as obs
         from . import runtime
@@ -317,20 +291,6 @@ def _dynamic_cases(seed: int) -> List[ViolationCase]:
             obs.disable()
 
     return [
-        ViolationCase(
-            name="dynamic-frozen-registry",
-            kind="dynamic",
-            description="registering a backend under an armed session "
-            "must raise (the registry guard is frozen)",
-            trigger=frozen_registry_write,
-        ),
-        ViolationCase(
-            name="dynamic-cross-thread-cache",
-            kind="dynamic",
-            description="a non-owner thread writing the backend instance "
-            "cache must raise (cross-thread race)",
-            trigger=cross_thread_cache_write,
-        ),
         ViolationCase(
             name="dynamic-batch-hook-leak",
             kind="dynamic",
@@ -348,4 +308,4 @@ def violation_corpus(seed: int = 0) -> List[ViolationCase]:
     failing case names the exact inputs that produced it; the *structure*
     of the corpus (cases and their expectations) is seed-independent.
     """
-    return _static_cases(seed) + _dynamic_cases(seed)
+    return _static_cases(seed) + _dynamic_cases()

@@ -181,14 +181,14 @@ def _observability_status(*, quick: bool) -> Dict[str, object]:
 def _backend_status(*, quick: bool) -> Dict[str, object]:
     """Kernel-backend stamp embedded in every exported artifact.
 
-    Lists the registered backends and runs a seeded differential sweep:
+    Lists the two backends and runs a seeded differential sweep:
     every backend must reproduce the ``pure`` reference's scores and
     CIGARs bit-for-bit on a fresh pair set.  The badge certifies that the
     default engine, which produced the artifact's numbers, computes the
     reference's numbers.
     """
     from ..align import FullGmxAligner
-    from ..align.backends import DEFAULT_BACKEND, backend_specs
+    from ..align.backends import DEFAULT_BACKEND, backend_names, get_backend
     from ..workloads.generator import generate_pair_set
     from .reporting import render_backends_badge
 
@@ -202,12 +202,14 @@ def _backend_status(*, quick: bool) -> Dict[str, object]:
     registered = []
     identical = True
     checked = []
-    for spec in backend_specs():
-        registered.append({"name": spec.name, "description": spec.description})
-        if spec.name == "pure":
+    for name in backend_names():
+        registered.append(
+            {"name": name, "description": get_backend(name).description}
+        )
+        if name == "pure":
             continue
-        aligner = FullGmxAligner(backend=spec.name)
-        checked.append(spec.name)
+        aligner = FullGmxAligner(backend=name)
+        checked.append(name)
         for pair, expected in zip(pair_set.pairs, reference):
             result = aligner.align(pair.pattern, pair.text)
             if (result.score, result.cigar) != (expected.score, expected.cigar):

@@ -1,11 +1,14 @@
-"""Unit tests for the kernel backend registry (repro.align.backends).
+"""Unit tests for the kernel backends (repro.align.backends).
 
-Covers the registry surface (names, specs), backend selection (an
-instance or a name, ``None`` meaning ``bitpar``), the ``bitpar`` default
-of every GMX aligner, baselines having no backend, and the
-observer-degradation rule: a non-observing backend silently yields to the
-pure engine whenever an ISA trace or fault hook is armed.
+Covers the closed engine table (names, descriptions, one object per
+engine from every thread), backend selection (a name, ``None`` meaning
+``bitpar``; never an instance), the ``bitpar`` default of every GMX
+aligner, baselines having no backend, and the observer-degradation rule:
+a non-observing backend silently yields to the pure engine whenever an
+ISA trace or fault hook is armed.
 """
+
+import threading
 
 import pytest
 
@@ -19,13 +22,10 @@ from repro.align.backends import (
     DEFAULT_BACKEND,
     BackendError,
     BitparTileBackend,
-    KernelBackend,
     PureTileBackend,
     backend_names,
-    backend_specs,
     effective_backend,
     get_backend,
-    register_backend,
 )
 from repro.baselines import BpmAligner, NeedlemanWunschAligner
 from repro.core.isa import GmxIsa, fault_injection
@@ -40,23 +40,38 @@ GMX_ALIGNERS = (
 
 class TestRegistry:
     def test_default_backend_is_registered_and_first(self):
-        # The reference registers first; the default is the fast engine.
+        # The reference comes first; the default is the fast engine.
         names = backend_names()
         assert names == ("pure", "bitpar")
         assert DEFAULT_BACKEND == "bitpar"
 
-    def test_specs_align_with_names(self):
-        specs = backend_specs()
-        assert tuple(s.name for s in specs) == backend_names()
-        for spec in specs:
-            assert spec.description  # every backend documents itself
+    def test_every_engine_describes_itself_in_the_stamp(self):
+        from repro.eval.export import _backend_status
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(BackendError, match="already registered"):
-            register_backend("pure", PureTileBackend)
+        classes = (PureTileBackend, BitparTileBackend)
+        assert tuple(cls.name for cls in classes) == backend_names()
+        stamp = _backend_status(quick=True)
+        assert stamp["registered"] == [
+            {"name": cls.name, "description": cls.description}
+            for cls in classes
+        ]
+        assert all(cls.description for cls in classes)
 
     def test_singletons_are_cached(self):
         assert get_backend("bitpar") is get_backend("bitpar")
+
+    def test_fresh_thread_sees_the_same_engines(self):
+        seen = {}
+
+        def look_up():
+            seen.update((name, get_backend(name)) for name in backend_names())
+
+        thread = threading.Thread(target=look_up)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert tuple(seen) == backend_names()
+        assert all(seen[name] is get_backend(name) for name in seen)
 
 
 class TestSelection:
@@ -72,14 +87,12 @@ class TestSelection:
         with pytest.raises(BackendError, match=r"registered: pure, bitpar\)"):
             get_backend("numpy")
 
-    def test_instance_passes_through(self):
-        backend = BitparTileBackend()
-        assert get_backend(backend) is backend
-
-    def test_aligner_ctor_accepts_all_selector_forms(self):
-        for selector in (None, "bitpar", BitparTileBackend()):
-            aligner = FullGmxAligner(backend=selector)
-            assert isinstance(aligner.backend, KernelBackend)
+    def test_engine_instance_is_not_a_selector(self):
+        # Engines are chosen by name, so no third engine can be plugged in.
+        with pytest.raises(BackendError, match=r"registered: pure, bitpar\)"):
+            get_backend(BitparTileBackend())
+        with pytest.raises(BackendError):
+            FullGmxAligner(backend=get_backend("pure"))
 
 
 class TestWithBackend:

@@ -60,7 +60,7 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help="run every test under the concurrency & determinism "
-        "sanitizer (registry guards + batch-boundary hook-leak checks)",
+        "sanitizer (batch-boundary and session-exit hook-leak checks)",
     )
 
 
@@ -69,11 +69,10 @@ def _dsan(request):
     """Arm the sanitizer around each test when ``--sanitize`` is given.
 
     Off by default (one flag check per test).  With the flag, the test
-    body runs inside :func:`repro.analysis.sanitizer.sanitize`: the
-    backend registry freezes, the instance cache becomes owner-checked,
-    and every ``align_batch*`` boundary verifies that no ambient hook,
-    trace sink, or obs recorder leaked — exactly how CI runs the
-    conformance and chaos suites.
+    body runs inside :func:`repro.analysis.sanitizer.sanitize`: every
+    ``align_batch*`` boundary, and the test's own end, verifies that no
+    ambient hook, trace sink, or obs recorder leaked — exactly how CI
+    runs the conformance suite.
     """
     if not request.config.getoption("--sanitize"):
         yield

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.align import FullGmxAligner, align_batch
+from repro.align import AutoAligner, FullGmxAligner, WindowedAligner, align_batch
 from repro.align.batch import BatchResult
 from repro.resilience import (
     FaultPlan,
@@ -309,6 +309,40 @@ class TestCheckpointResume:
                 FullGmxAligner(tile_size=8), pairs, shard_size=2,
                 checkpoint=journal,
             )
+
+    def test_journal_from_another_inner_tile_size_is_rejected(
+        self, pairs, tmp_path
+    ):
+        # A windowed driver's journal names its inner aligner's whole
+        # configuration: T=8 window results must not be replayed at T=16.
+        from repro.resilience import CheckpointError
+
+        def windowed(tile_size):
+            inner = FullGmxAligner(tile_size=tile_size)
+            return WindowedAligner(inner, window=32, overlap=8)
+
+        journal = str(tmp_path / "run.journal")
+        align_batch_resilient(
+            windowed(8), pairs, shard_size=2, checkpoint=journal
+        )
+        with pytest.raises(CheckpointError):
+            align_batch_resilient(
+                windowed(16), pairs, shard_size=2, checkpoint=journal
+            )
+
+    def test_auto_aligner_resumes_its_own_journal(self, pairs, tmp_path):
+        # Which engine the last align call chose is not configuration: the
+        # same AutoAligner object resumes the journal it wrote.
+        auto = AutoAligner(tile_size=8)
+        journal = str(tmp_path / "run.journal")
+        first = align_batch_resilient(
+            auto, pairs, shard_size=2, checkpoint=journal
+        )
+        second = align_batch_resilient(
+            auto, pairs, shard_size=2, checkpoint=journal
+        )
+        assert second.results == first.results
+        assert second.telemetry.resilience.shards_resumed == 3
 
 
 @pytest.mark.slow

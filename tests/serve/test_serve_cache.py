@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.align import BandedGmxAligner, FullGmxAligner
+from repro.align import (
+    AutoAligner,
+    BandedGmxAligner,
+    FullGmxAligner,
+    WindowedAligner,
+    WindowedGmxAligner,
+)
 from repro.serve import (
     AlignmentCache,
     CachedAlignment,
@@ -32,6 +38,39 @@ class TestFingerprint:
         assert aligner_fingerprint(FullGmxAligner()) != (
             aligner_fingerprint(BandedGmxAligner())
         )
+
+    def test_full_and_banded_fingerprints_are_pinned(self):
+        # Journal headers (docs/resilience.md) and dist nodes compare
+        # these strings byte for byte.
+        assert aligner_fingerprint(FullGmxAligner()) == (
+            "FullGmxAligner|backend='bitpar'|fused=False|mode='global'"
+            "|tile_size=32|trace_sink=None"
+        )
+        assert aligner_fingerprint(BandedGmxAligner(tile_size=8)) == (
+            "BandedGmxAligner|auto_widen=True|backend='bitpar'|band=None"
+            "|tile_size=8|trace_sink=None"
+        )
+
+    def test_nested_aligner_folded_in_by_its_fingerprint(self):
+        def windowed(tile_size):
+            inner = FullGmxAligner(tile_size=tile_size)
+            return WindowedAligner(inner, window=32, overlap=8)
+
+        assert aligner_fingerprint(windowed(8)) != (
+            aligner_fingerprint(windowed(16))
+        )
+        assert aligner_fingerprint(WindowedGmxAligner()) != (
+            aligner_fingerprint(WindowedGmxAligner(backend="pure"))
+        )
+
+    def test_per_call_state_left_out(self):
+        aligner = AutoAligner(tile_size=8)
+        before = aligner_fingerprint(aligner)
+        aligner.align("ACGTACGT", "ACGAACGT")
+        assert aligner.last_choice == "Banded(GMX)"
+        assert aligner_fingerprint(aligner) == before
+        with pytest.raises(AttributeError):
+            aligner.last_choice = "Windowed(GMX)"
 
 
 class TestPairKey:
