@@ -29,8 +29,10 @@
 # the sanitizer unit suites, and the conformance suite with the
 # batch-boundary leak checks armed (`--sanitize`).
 # `serve-test` runs the alignment-service suites (cache, coalescer, pool
-# lifecycle, service, HTTP, obs drain, load smoke) plus the serving-path
-# chaos drill through the CLI (`repro chaos --serve`).
+# lifecycle, service, HTTP, obs drain, load smoke), the serving-path
+# chaos drill through the CLI (`repro chaos --serve`), a load-generator
+# smoke, and the warm-pool latency gate (`benchmarks/test_serve_latency.py`,
+# which keeps `BENCH_serve.json` current).
 # `dist-test` runs the distributed-execution suites (protocol, packing,
 # worker node, coordinator, dist chaos) plus the multi-node chaos drill
 # through the CLI (`repro chaos --dist`: 3 supervised localhost worker
@@ -83,6 +85,7 @@ serve-test:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --serve --pairs 16 --workers 2
 	PYTHONPATH=src $(PYTHON) -m repro bench serve \
 		--requests 60 --clients 4 --unique 12 --workers 2
+	$(PYTEST) -q benchmarks/test_serve_latency.py
 
 dist-test:
 	$(PYTEST) -q tests/dist

@@ -466,12 +466,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="admission limit; beyond it requests get 429 + Retry-After",
     )
     serve.add_argument(
-        "--coalesce-window", type=float, default=2.0, metavar="MS",
-        help="micro-batching window in milliseconds",
-    )
-    serve.add_argument(
         "--coalesce-max-pairs", type=int, default=16, metavar="PAIRS",
-        help="dispatch a batch as soon as it holds this many pairs",
+        help="the most pairs one coalesced shard holds",
     )
     serve.add_argument(
         "--rate-limit", type=float, default=0.0, metavar="RPS",
@@ -499,9 +495,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workers", type=int, default=2)
     bench.add_argument(
         "--cache-size", type=int, default=4096, metavar="ENTRIES"
-    )
-    bench.add_argument(
-        "--coalesce-window", type=float, default=2.0, metavar="MS"
     )
     bench.add_argument(
         "--json", metavar="FILE", help="write the bench report as JSON"
@@ -971,7 +964,6 @@ def _cmd_serve(args) -> int:
     aligner = ALIGNER_FACTORIES[args.algorithm](args)
     config = ServeConfig(
         workers=args.workers,
-        coalesce_window=args.coalesce_window / 1000.0,
         coalesce_max_pairs=args.coalesce_max_pairs,
         cache_size=args.cache_size,
         max_inflight=args.max_inflight,
@@ -1013,19 +1005,23 @@ def _cmd_bench(args) -> int:
     import json as json_module
     from pathlib import Path
 
+    from .serve import ServeError
     from .serve.bench import run_serve_bench
 
-    report = run_serve_bench(
-        requests=args.requests,
-        clients=args.clients,
-        unique_pairs=args.unique,
-        length=args.length,
-        error_rate=args.error,
-        seed=args.seed,
-        workers=args.workers,
-        cache_size=args.cache_size,
-        coalesce_window=args.coalesce_window / 1000.0,
-    )
+    try:
+        report = run_serve_bench(
+            requests=args.requests,
+            clients=args.clients,
+            unique_pairs=args.unique,
+            length=args.length,
+            error_rate=args.error,
+            seed=args.seed,
+            workers=args.workers,
+            cache_size=args.cache_size,
+        )
+    except (ServeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.render())
     if args.json:
         Path(args.json).write_text(

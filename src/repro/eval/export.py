@@ -249,7 +249,7 @@ def _serving_status(*, quick: bool) -> Dict[str, object]:
         (r.score, r.cigar)
         for r in align_batch(FullGmxAligner(), workload).results
     ]
-    config = ServeConfig(workers=1, coalesce_window=0.0)
+    config = ServeConfig(workers=1)
     with AlignmentService(FullGmxAligner(), config=config) as service:
         first = service.align_pairs(workload)
         second = service.align_pairs(workload)

@@ -2,11 +2,12 @@
 
 The serving subsystem turns the batch alignment engine into a long-lived
 service: a warm :class:`~repro.align.parallel.WorkerPool` paid for once at
-startup, a micro-batching :class:`~repro.serve.coalescer.Coalescer` that
-packs concurrent requests into shards, a content-addressed
-:class:`~repro.serve.cache.AlignmentCache`, admission control with
-back-pressure (429 + ``Retry-After``), and crash recovery that rebuilds
-the pool and re-executes lost shards.  See ``docs/serving.md``.
+startup, a :class:`~repro.serve.coalescer.Coalescer` that batches
+concurrent requests into shards only while every worker is busy, a
+content-addressed :class:`~repro.serve.cache.AlignmentCache`, admission
+control with back-pressure (429 + ``Retry-After``), and crash recovery
+that rebuilds the pool and re-executes lost shards.  See
+``docs/serving.md``.
 """
 
 from .cache import (

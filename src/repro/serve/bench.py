@@ -40,7 +40,7 @@ from ..align.parallel import WorkerPool, _align_shard
 from ..common.retry import RetryPolicy
 from ..workloads.generator import generate_pair_set
 from .http import running_server
-from .service import AlignmentService, ServeConfig
+from .service import AlignmentService, ServeConfig, ServeError
 
 
 def percentile(samples: List[int], fraction: float) -> int:
@@ -265,12 +265,19 @@ def run_serve_bench(
     seed: int = 23,
     workers: int = 2,
     cache_size: int = 4096,
-    coalesce_window: float = 0.002,
     max_inflight: int = 512,
     warm_cold_probes: int = 5,
     aligner=None,
 ) -> ServeBenchReport:
-    """Boot a server, run the seeded load schedule, measure, tear down."""
+    """Boot a server, run the seeded load schedule, measure, tear down.
+
+    A client, unique-pair or worker count below one raises
+    :class:`ServeError` before anything starts.
+    """
+    counts = {"clients": clients, "unique_pairs": unique_pairs, "workers": workers}
+    for name, count in counts.items():
+        if count < 1:
+            raise ServeError(f"{name} must be >= 1, got {count}")
     pair_set = generate_pair_set(
         "serve-bench", length, error_rate, unique_pairs, seed=seed
     )
@@ -288,7 +295,6 @@ def run_serve_bench(
     config = ServeConfig(
         workers=workers,
         cache_size=cache_size,
-        coalesce_window=coalesce_window,
         max_inflight=max_inflight,
     )
     service = AlignmentService(aligner, config=config)

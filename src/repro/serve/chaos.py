@@ -120,7 +120,6 @@ def run_serve_chaos(
     config = ServeConfig(
         workers=workers,
         cache_size=0,  # every pair must be computed, not remembered
-        coalesce_window=0.001,
         coalesce_max_pairs=4,  # many small shards -> a live backlog to hit
         max_inflight=max(pairs * 2, 64),
     )

@@ -4,17 +4,19 @@ A serving workload arrives as a stream of tiny requests — often a single
 pair each — while the pool's efficient unit of work is a shard of many
 pairs (amortising pickling and IPC, exactly like
 :data:`~repro.align.parallel.DEFAULT_SHARD_SIZE` does for batches).  The
-coalescer bridges the two: the first queued request opens a *collection
-window* (a few milliseconds), every request arriving inside the window
-joins the batch, and the batch is dispatched when it reaches
-``max_pairs`` or the window expires — whichever comes first.  A lone
-request therefore pays at most the window in added latency, and a burst
-of N concurrent requests coalesces into ⌈N / max_pairs⌉ shard dispatches
-instead of N.
+coalescer bridges the two without ever holding a request back from an
+idle worker.  It owns one *slot* per pool worker: a dispatched batch
+holds a slot until its collector calls :meth:`Coalescer.release`.  While
+a slot is free, the coalescer cuts a batch at once — the first queued
+request plus the same-group requests already queued behind it, up to
+``max_pairs`` — and dispatches it.  A lone request therefore goes
+straight to an idle worker, and requests coalesce only while every
+worker is busy: then they queue, and the next freed slot ships them as
+one shard instead of N.
 
 Requests carry a *group* key (the traceback flag): only requests of the
 same group share a shard, because a shard runs under a single traceback
-mode.  A group change flushes the current batch and opens a new window.
+mode.  A request of another group ends the batch and starts the next.
 
 The coalescer is executor-agnostic — it calls the ``dispatch`` callable
 it was built with (the service's shard-dispatch path) and never touches
@@ -24,16 +26,15 @@ list-appending dispatcher.
 
 from __future__ import annotations
 
-import queue
 import threading
-import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Deque, List, Optional
 
 
 class CoalescerError(RuntimeError):
-    """Raised on coalescer lifecycle misuse (submit after close)."""
+    """Raised on coalescer misuse (bad configuration, submit after close)."""
 
 
 @dataclass
@@ -58,44 +59,41 @@ class PendingPair:
     key: Optional[str] = None
 
 
-#: Queue sentinel asking the collection thread to drain and exit.
-_STOP = object()
-
-
 class Coalescer:
-    """Holds concurrent requests for a bounded window, dispatches shards.
+    """Dispatches a batch whenever a slot is free; queues while none is.
 
     Args:
         dispatch: called with each packed batch (a non-empty list of
             :class:`PendingPair` sharing one group), from the coalescer's
-            own thread.  An exception from ``dispatch`` fails that batch's
-            futures and the coalescer keeps running.
-        window_seconds: how long the first request of a batch waits for
-            company (0 = dispatch immediately, batching only what is
-            already queued).
-        max_pairs: dispatch as soon as a batch reaches this many pairs.
+            own thread.  The batch holds a slot until :meth:`release`.
+            An exception from ``dispatch`` fails that batch's futures,
+            frees its slot, and the coalescer keeps running.
+        slots: batches that may be in flight at once (the service passes
+            its pool's worker count).
+        max_pairs: the most pairs one batch may hold.
     """
 
     def __init__(
         self,
         dispatch: Callable[[List[PendingPair]], None],
         *,
-        window_seconds: float = 0.002,
+        slots: int = 1,
         max_pairs: int = 16,
     ) -> None:
-        if window_seconds < 0:
-            raise CoalescerError(
-                f"window must be >= 0 seconds, got {window_seconds}"
-            )
+        if slots < 1:
+            raise CoalescerError(f"slots must be >= 1, got {slots}")
         if max_pairs < 1:
             raise CoalescerError(f"max_pairs must be >= 1, got {max_pairs}")
-        self.window_seconds = window_seconds
+        self.slots = slots
         self.max_pairs = max_pairs
         self._dispatch = dispatch
-        self._queue: "queue.Queue" = queue.Queue()
+        self._queue: Deque[PendingPair] = deque()
+        self._free = slots
         self._thread: Optional[threading.Thread] = None
         self._closed = False
-        self._lock = threading.Lock()
+        # Guards the queue, the free-slot count and the closed flag; the
+        # collection thread waits on it for work and a slot.
+        self._cond = threading.Condition()
         # Telemetry (read by /metrics; written only by the collector thread
         # except pairs_in, which submit() bumps under the lock).
         self.batches = 0
@@ -105,7 +103,7 @@ class Coalescer:
 
     def start(self) -> "Coalescer":
         """Start the collection thread (idempotent)."""
-        with self._lock:
+        with self._cond:
             if self._closed:
                 raise CoalescerError("coalescer is closed")
             if self._thread is None:
@@ -117,16 +115,24 @@ class Coalescer:
 
     def submit(self, entry: PendingPair) -> None:
         """Queue one request for coalescing (raises after close)."""
-        with self._lock:
+        with self._cond:
             if self._closed:
                 raise CoalescerError("coalescer is closed")
             self.pairs_in += 1
-        self._queue.put(entry)
+            self._queue.append(entry)
+            if self._free:  # with none free, release() does the waking
+                self._cond.notify()
+
+    def release(self) -> None:
+        """Free the slot of one dispatched batch: its shard is done."""
+        with self._cond:
+            self._free += 1
+            self._cond.notify()
 
     @property
     def backlog(self) -> int:
-        """Approximate requests queued but not yet packed into a batch."""
-        return self._queue.qsize()
+        """Requests queued but not yet packed into a batch."""
+        return len(self._queue)
 
     @property
     def mean_batch(self) -> float:
@@ -135,66 +141,42 @@ class Coalescer:
 
     def close(self) -> None:
         """Flush queued requests, stop the thread, reject new submits."""
-        with self._lock:
+        with self._cond:
             if self._closed:
                 return
             self._closed = True
             thread = self._thread
-        self._queue.put(_STOP)
+            self._cond.notify()
         if thread is not None:
             thread.join()
 
     def _run(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is _STOP:
-                self._drain_remaining()
-                return
-            if not self._collect_and_flush(item):
-                self._drain_remaining()
-                return
+            with self._cond:
+                while not self._closed and not (self._queue and self._free):
+                    self._cond.wait()
+                if self._closed:
+                    break
+                self._free -= 1
+                batch = self._cut()
+            self._flush(batch)
+        # Closed: submit() takes no more, so flush what is left without
+        # waiting for a slot.
+        while self._queue:
+            self._flush(self._cut())
 
-    def _collect_and_flush(self, first: PendingPair) -> bool:
-        """Grow a batch from ``first``; returns False when _STOP arrived."""
-        batch = [first]
-        deadline = time.monotonic() + self.window_seconds
-        keep_running = True
-        while len(batch) < self.max_pairs:
-            remaining = deadline - time.monotonic()
-            try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
-                    item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _STOP:
-                keep_running = False
-                break
-            if item.group != batch[0].group:
-                # Incompatible request: flush what we have, start over.
-                self._flush(batch)
-                batch = [item]
-                deadline = time.monotonic() + self.window_seconds
-                continue
-            batch.append(item)
-        self._flush(batch)
-        return keep_running
-
-    def _drain_remaining(self) -> None:
-        """Flush anything still queued at shutdown (single-pair batches)."""
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is _STOP:
-                continue
-            self._flush([item])
+    def _cut(self) -> List[PendingPair]:
+        """The first queued request and its same-group followers."""
+        batch = [self._queue.popleft()]
+        while (
+            self._queue
+            and len(batch) < self.max_pairs
+            and self._queue[0].group == batch[0].group
+        ):
+            batch.append(self._queue.popleft())
+        return batch
 
     def _flush(self, batch: List[PendingPair]) -> None:
-        if not batch:
-            return
         self.batches += 1
         self.pairs_out += len(batch)
         self.max_batch = max(self.max_batch, len(batch))
@@ -204,3 +186,4 @@ class Coalescer:
             for entry in batch:
                 if not entry.future.done():
                     entry.future.set_exception(exc)
+            self.release()  # no collector will see this batch

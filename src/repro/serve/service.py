@@ -7,8 +7,8 @@ facade over it, and tests/benchmarks drive it directly.  One service owns:
 * a **warm** :class:`~repro.align.parallel.WorkerPool`, created once at
   startup and reused across every request — no per-request pool spin-up
   (the latency win ``repro bench serve`` measures);
-* a :class:`~repro.serve.coalescer.Coalescer` that packs concurrent small
-  requests into shards before dispatch;
+* a :class:`~repro.serve.coalescer.Coalescer` that sends a miss to an
+  idle worker at once and packs requests into shards while none is idle;
 * a content-addressed :class:`~repro.serve.cache.AlignmentCache` answering
   repeated pairs without recomputation, plus **in-flight deduplication**:
   a request identical to one already being computed attaches to the same
@@ -126,10 +126,9 @@ class ServeConfig:
     Attributes:
         workers: worker processes in the warm pool (1 = inline execution,
             the portable fallback).
-        coalesce_window: seconds the first request of a batch waits for
-            company before dispatch (the micro-batching window).
-        coalesce_max_pairs: dispatch a batch as soon as it holds this many
-            pairs (also the server's shard size).
+        coalesce_max_pairs: the most pairs one coalesced batch holds.  A
+            batch is cut as soon as a pool worker is free, so batches
+            grow only while every worker is busy.
         cache_size: result-cache capacity in entries (0 disables caching).
         max_inflight: admission limit — pairs queued or executing; beyond
             it, submissions are rejected with 429/``Retry-After``.
@@ -142,7 +141,6 @@ class ServeConfig:
     """
 
     workers: int = 1
-    coalesce_window: float = 0.002
     coalesce_max_pairs: int = 16
     cache_size: int = 4096
     max_inflight: int = 256
@@ -187,6 +185,10 @@ class AlignmentService:
             raise ServeError(
                 f"max_inflight must be >= 1, got {self.config.max_inflight}"
             )
+        if self.config.coalesce_max_pairs < 1:
+            raise ServeError(
+                f"coalesce_max_pairs must be >= 1, got {self.config.coalesce_max_pairs}"
+            )
         self.fallback_reason: Optional[str] = None
         workers = self.config.workers
         if workers > 1:
@@ -214,7 +216,7 @@ class AlignmentService:
         self._fingerprint = aligner_fingerprint(self.aligner)
         self.coalescer = Coalescer(
             self._dispatch,
-            window_seconds=self.config.coalesce_window,
+            slots=self.pool.workers,
             max_pairs=self.config.coalesce_max_pairs,
         )
         self._collect_queue: "queue.Queue" = queue.Queue()
@@ -451,6 +453,10 @@ class AlignmentService:
                     self._fail(item.batch, exc)
                 except Exception:  # noqa: BLE001 - last-ditch guard
                     pass
+            finally:
+                # Only now, with the futures resolved: a waiting client's
+                # next request is then queued before the next batch is cut.
+                self.coalescer.release()
 
     def _collect_one(self, shard: _InFlightShard) -> None:
         start = time.perf_counter()
@@ -617,7 +623,6 @@ class AlignmentService:
                 "pairs": self.coalescer.pairs_out,
                 "mean_batch": round(self.coalescer.mean_batch, 3),
                 "max_batch": self.coalescer.max_batch,
-                "window_seconds": self.config.coalesce_window,
                 "max_pairs": self.config.coalesce_max_pairs,
             },
             "pool": {

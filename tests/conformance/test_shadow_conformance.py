@@ -97,7 +97,7 @@ def test_shadow_digests_identical(kernel, backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_shadow_under_armed_session(backend):
-    """Shadowing composes with the registry guards (the CI configuration)."""
+    """Shadowing composes with the batch-boundary leak checks (the CI configuration)."""
     aligner = FullGmxAligner(tile_size=TILE_SIZE, backend=backend)
     with sanitize():
         report = shadow_execute(

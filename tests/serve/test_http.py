@@ -52,7 +52,7 @@ class _Client:
 
 @pytest.fixture()
 def server():
-    config = ServeConfig(workers=1, coalesce_window=0.001)
+    config = ServeConfig(workers=1)
     with AlignmentService(FullGmxAligner(), config=config) as service:
         with running_server(service) as (_server, base_url):
             client = _Client(base_url)
@@ -229,7 +229,7 @@ def test_saturation_returns_429_with_retry_after():
             return super().align(pattern, text, traceback=traceback)
 
     config = ServeConfig(
-        workers=1, cache_size=0, coalesce_window=0.0, max_inflight=1,
+        workers=1, cache_size=0, max_inflight=1,
         retry_after=0.5,
     )
     workload = _workload(count=3, seed=53)

@@ -161,7 +161,6 @@ class _Client:
 def limited_server():
     config = ServeConfig(
         workers=1,
-        coalesce_window=0.001,
         cache_size=0,  # cache hits would mask admission decisions
         rate_limit_rps=0.5,
         rate_limit_burst=2.0,
@@ -229,7 +228,7 @@ class TestHttpRateLimiting:
 
 
 def test_rate_limiting_off_by_default():
-    config = ServeConfig(workers=1, coalesce_window=0.001)
+    config = ServeConfig(workers=1)
     with AlignmentService(FullGmxAligner(), config=config) as service:
         assert service.rate_limiter is None
         assert service.metrics_snapshot()["rate_limit"] == {

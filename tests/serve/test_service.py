@@ -89,7 +89,7 @@ def test_eight_concurrent_threads_byte_identical():
     """The coalescing/caching acceptance bar: 8 threads, same bytes."""
     workload = _workload(count=12)
     serial_rows = _rows(align_batch(FullGmxAligner(), workload).results)
-    config = ServeConfig(workers=1, coalesce_window=0.002)
+    config = ServeConfig(workers=1)
     outcomes = {}
     errors = []
     with AlignmentService(FullGmxAligner(), config=config) as service:
@@ -157,7 +157,7 @@ def test_identical_inflight_requests_deduplicate():
     gate = threading.Event()
     pattern, text = _workload(count=1)[0]
     expected = FullGmxAligner().align(pattern, text)
-    config = ServeConfig(workers=1, coalesce_window=0.0)
+    config = ServeConfig(workers=1)
     service = AlignmentService(_GatedAligner(gate), config=config)
     with service:
         first = service.submit(pattern, text)
@@ -182,7 +182,7 @@ def test_admission_control_rejects_past_max_inflight():
     gate = threading.Event()
     workload = _workload(count=4, seed=37)
     config = ServeConfig(
-        workers=1, cache_size=0, coalesce_window=0.0, max_inflight=2,
+        workers=1, cache_size=0, max_inflight=2,
         retry_after=0.125,
     )
     service = AlignmentService(_GatedAligner(gate), config=config)
@@ -258,7 +258,7 @@ def test_empty_pair_rejected_before_dispatch():
 def test_application_error_fails_batch_without_pool_rebuild():
     """A shard that ran and raised is an app error, not a lost worker."""
     workload = _workload(count=2, seed=43)
-    config = ServeConfig(workers=1, cache_size=0, coalesce_window=0.0)
+    config = ServeConfig(workers=1, cache_size=0)
     with AlignmentService(_PoisonAligner(), config=config) as service:
         poisoned = service.submit("POISON", "ACGT")
         with pytest.raises(ValueError):
@@ -273,11 +273,26 @@ def test_application_error_fails_batch_without_pool_rebuild():
         assert service.inflight_pairs == 0
 
 
+def test_failed_shards_free_their_slot():
+    """One worker, one slot: failed shards must not leak it."""
+    config = ServeConfig(workers=1, cache_size=0)
+    with AlignmentService(_PoisonAligner(), config=config) as service:
+        assert service.coalescer.slots == 1
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                service.align_pair("POISON", "ACGT", timeout=10)
+        # A leaked slot would leave this miss queued until the timeout.
+        pattern, text = _workload(count=1, seed=59)[0]
+        result = service.align_pair(pattern, text, timeout=10)
+    assert result.score == FullGmxAligner().align(pattern, text).score
+    assert service.pairs_failed == 3
+
+
 def test_cancelled_future_does_not_kill_collector():
     """A client-side cancel must not crash the collector thread."""
     gate = threading.Event()
     workload = _workload(count=2, seed=47)
-    config = ServeConfig(workers=1, cache_size=0, coalesce_window=0.0)
+    config = ServeConfig(workers=1, cache_size=0)
     service = AlignmentService(_GatedAligner(gate), config=config)
     with service:
         future = service.submit(*workload[0])
@@ -312,7 +327,7 @@ def test_submit_rolls_back_admission_on_coalescer_failure():
 def test_slow_healthy_shard_is_not_declared_lost():
     """A slow shard must not rebuild the pool: only a dead worker does."""
     config = ServeConfig(
-        workers=2, cache_size=0, coalesce_window=0.0, request_timeout=30.0,
+        workers=2, cache_size=0, request_timeout=30.0,
     )
     with AlignmentService(_SlowAligner(), config=config) as service:
         if not service.pool.process_mode:

@@ -88,6 +88,25 @@ class TestBadFlags:
         [line] = [line for line in err.splitlines() if "error:" in line]
         assert f"tile size must be at least 2, got {size}" in line
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                ["serve", "--coalesce-max-pairs", "0"],
+                id="serve-coalesce-max-pairs",
+            ),
+            pytest.param(["bench", "serve", "--clients", "0"], id="bench-clients"),
+            pytest.param(["bench", "serve", "--unique", "0"], id="bench-unique"),
+            pytest.param(["bench", "serve", "--workers", "0"], id="bench-workers"),
+        ],
+    )
+    def test_serve_count_below_one(self, argv, capsys):
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        assert "must be >= 1, got 0" in line
+
 
 class TestBadFiles:
     def test_missing_pairs_file(self, capsys, tmp_path):
