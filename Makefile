@@ -40,7 +40,8 @@
 # `stream-test` runs the chromosome-scale streaming suites (chunker,
 # canonical CIGAR forms, stitcher, pipeline + engines, chunking
 # invariance + window conformance properties, the tracemalloc O(chunk)
-# memory gate), the seqio streaming tests, the BENCH_stream.json
+# memory gate), the mapper suites (the stream's sketch filter lives in
+# `repro.mapper.windows`), the seqio streaming tests, the BENCH_stream.json
 # benchmark, and a scaled end-to-end conformance drill through the CLI
 # (1 Mbp reference x 100 kbp query, 50 Hirschberg-verified windows).
 
@@ -93,7 +94,7 @@ dist-test:
 		--seed 29 --faults 30 --nodes 3 --length 32 --lease-timeout 1.2
 
 stream-test:
-	$(PYTEST) -q tests/stream tests/workloads/test_seqio.py
+	$(PYTEST) -q tests/stream tests/mapper tests/workloads/test_seqio.py
 	$(PYTEST) -q benchmarks/test_stream_memory.py
 	PYTHONPATH=src $(PYTHON) tests/stream/e2e_fixture.py /tmp/stream-e2e
 	PYTHONPATH=src $(PYTHON) -m repro stream align \

@@ -1212,6 +1212,12 @@ def _cmd_stream(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.verify_windows < 0:
+        print(
+            f"error: --verify-windows must be >= 0, got {args.verify_windows}",
+            file=sys.stderr,
+        )
+        return 2
     config = StreamConfig(chunk_size=args.chunk_size, overlap=args.overlap)
 
     def load_query(source: str) -> str:

@@ -132,25 +132,25 @@ def verify_windows(
     Windows are cut at anchor midpoints with reference spans in
     ``[min_span, max_span]``.  Returns one :class:`WindowCheck` per
     verified window (possibly fewer than requested when the alignment
-    has too few anchors to cut from).
+    has too few anchors to cut from); ``windows=0`` returns ``[]``.
 
     Raises:
-        StreamError: when no window can be cut at all — an alignment
-            with no two qualifying anchors is too weak to verify.
+        ValueError: ``windows`` is negative.
+        StreamError: windows were requested but none can be cut — an
+            alignment without two qualifying anchors a valid span apart
+            is too weak to verify, and an empty check list would pass
+            vacuously.
     """
+    if windows < 0:
+        raise ValueError(f"windows must be >= 0, got {windows}")
     points = path_cut_points(stitched, min_anchor=min_anchor)
-    if len(points) < 2:
-        raise StreamError(
-            "stitched alignment has fewer than two verification anchors "
-            f"(min_anchor={min_anchor})"
-        )
     oracle = oracle if oracle is not None else HirschbergAligner()
     rng = random.Random(seed)
     refs = [r for _, r in points]
     chosen: List[Tuple[int, int]] = []
     seen = set()
     attempts = 0
-    while len(chosen) < windows and attempts < windows * 20:
+    while len(points) > 1 and len(chosen) < windows and attempts < windows * 20:
         attempts += 1
         start = rng.randrange(len(points) - 1)
         lo = bisect_left(refs, refs[start] + min_span, start + 1)
@@ -162,6 +162,12 @@ def verify_windows(
             continue
         seen.add((start, end))
         chosen.append((start, end))
+    if windows and not chosen:
+        raise StreamError(
+            f"no verification window of reference span [{min_span}, "
+            f"{max_span}] fits between the {len(points)} anchors "
+            f"(min_anchor={min_anchor}) of the stitched alignment"
+        )
     checks: List[WindowCheck] = []
     for start, end in chosen:
         q_lo, r_lo = points[start]

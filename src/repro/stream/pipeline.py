@@ -2,11 +2,13 @@
 
 Chromosome-scale alignment without chromosome-scale memory.  The
 reference arrives as a block stream and is cut into overlapping windows
-(:mod:`.chunker`); each window is cheaply voted against a sampled k-mer
-sketch of the query (:mod:`repro.mapper.windows`) — the seed-location
-filter that gates the expensive DP; only candidate windows become
+(:mod:`.chunker`); each window is cheaply voted against an index of every
+query k-mer, probed at every ``probe_stride``-th reference base
+(:mod:`repro.mapper.windows`) — the seed-location filter that gates the
+expensive DP; only candidate windows become
 :class:`~repro.stream.stitch.ChunkJob`\\ s, which any of the existing
-batch engines may execute; per-chunk alignments are reconciled into one
+batch engines may execute with the paper's kernel (auto-widening
+Banded(GMX) by default); per-chunk alignments are reconciled into one
 global CIGAR by the :class:`~repro.stream.stitch.Stitcher`.
 
 Peak memory on the serial engine is O(chunk) sequence + DP state plus
@@ -35,10 +37,10 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Union
 
+from ..align.auto import AutoAligner
 from ..align.base import Aligner, KernelStats
 from ..align.batch import align_batch
 from ..align.parallel import WorkerPool
-from ..baselines.edlib_like import EdlibAligner
 from ..mapper.windows import QuerySketch
 from ..obs import runtime as obs
 from ..sim.cost_model import plan_stream_shard_size
@@ -57,8 +59,12 @@ class StreamConfig:
     Attributes:
         chunk_size / overlap: reference window geometry (see
             :mod:`.chunker`).
-        k / query_stride / max_occurrences: query-sketch shape (see
+        k / max_occurrences: query-sketch shape — every query k-mer is
+            indexed, repeats above ``max_occurrences`` dropped (see
             :class:`~repro.mapper.windows.QuerySketch`).
+        probe_stride: the filter probes reference positions whose
+            absolute coordinate is a multiple of it; any exact shared run
+            of ``probe_stride + k - 1`` bases is guaranteed a probe.
         bucket: diagonal vote granularity in bases.
         min_votes: sketch hits a window needs to become a candidate.
         span_pad: query-span slack added on both sides of the predicted
@@ -75,8 +81,8 @@ class StreamConfig:
     chunk_size: int = 4096
     overlap: int = 512
     k: int = 16
-    query_stride: int = 8
-    max_occurrences: int = 64
+    probe_stride: int = 8
+    max_occurrences: int = 512
     bucket: int = 32
     min_votes: int = 4
     span_pad: Optional[int] = None
@@ -392,8 +398,11 @@ def stream_align(
             for chromosome-scale inputs that must never be materialised.
         query: the query sequence (held in memory; O(query) is the
             pipeline's working-set budget).
-        aligner: per-chunk GLOBAL aligner; default is the banded
-            bit-parallel :class:`~repro.baselines.edlib_like.EdlibAligner`.
+        aligner: per-chunk GLOBAL aligner; default is
+            ``AutoAligner(require_exact=True)`` — auto-widening
+            Banded(GMX) on the ``bitpar`` engine.  Baselines such as
+            :class:`~repro.baselines.edlib_like.EdlibAligner` can be
+            passed here.
         engine: one of :data:`ENGINES`.
         workers / shard_size / pool: batch-engine knobs (pool/resilient).
             ``shard_size=None`` is planned from the chunk cost model.
@@ -416,7 +425,9 @@ def stream_align(
         raise StreamError("query must be non-empty")
     config = config if config is not None else StreamConfig()
     config.validate()
-    aligner = aligner if aligner is not None else EdlibAligner()
+    aligner = (
+        aligner if aligner is not None else AutoAligner(require_exact=True)
+    )
     counters = StreamCounters()
     timings = StageTimings()
     stats = KernelStats()
@@ -426,7 +437,7 @@ def stream_align(
         sketch = QuerySketch(
             query,
             k=config.k,
-            stride=config.query_stride,
+            stride=config.probe_stride,
             max_occurrences=config.max_occurrences,
         )
         chunks = iter_reference_chunks(

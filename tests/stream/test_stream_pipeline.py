@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.baselines import EdlibAligner
 from repro.obs import runtime as obs
 from repro.resilience import CheckpointError
 from repro.stream import StreamConfig, StreamError, stream_align, stream_align_fasta
@@ -125,6 +126,39 @@ class TestEngines:
     def test_unknown_engine_rejected(self, case):
         with pytest.raises(ValueError, match="unknown engine"):
             stream_align(case.reference, case.query, engine="quantum")
+
+
+class TestChunkAligner:
+    def test_default_runs_the_gmx_kernel_not_edlib(self, case, monkeypatch):
+        def refuse(self, pattern, text, *, traceback=True):
+            raise AssertionError("the default chunk aligner ran Edlib")
+
+        monkeypatch.setattr(EdlibAligner, "align", refuse)
+        result = stream_align(case.reference, case.query, config=CONFIG)
+        assert result.stats.tiles > 0
+
+    @pytest.mark.parametrize("seed", [0xBEEF, 0xA1, 0xA2, 0xA3])
+    def test_edlib_baseline_stitches_the_same_alignment(self, seed):
+        planted = planted_case(
+            random.Random(seed),
+            query_len=1500,
+            left_flank=2500,
+            right_flank=2500,
+            edits=16,
+        )
+        default = stream_align(planted.reference, planted.query, config=CONFIG)
+        edlib = stream_align(
+            planted.reference,
+            planted.query,
+            config=CONFIG,
+            aligner=EdlibAligner(),
+        )
+        assert edlib.score == default.score
+        assert edlib.cigar == default.cigar
+        assert (edlib.text_start, edlib.text_end) == (
+            default.text_start,
+            default.text_end,
+        )
 
 
 class TestFasta:

@@ -22,7 +22,7 @@ import random
 
 import pytest
 
-from repro.stream import StreamConfig, stream_align, verify_windows
+from repro.stream import StreamConfig, StreamError, stream_align, verify_windows
 
 from .cases import planted_case
 from conformance.oracle import shrink_shard
@@ -170,3 +170,35 @@ class TestWindowConformance:
             assert check.window_score == check.oracle_score
             # Raw CIGARs may tie-break differently; canonical forms match.
             assert check.identical
+
+
+class TestVerifyWindowsContract:
+    """An empty check list must never read as a pass."""
+
+    @pytest.fixture(scope="class", params=[0, 2], ids=["one-anchor", "two-anchors"])
+    def short_stitched(self, request):
+        # A 150 bp query: one exact run, or two anchors too close together
+        # for a 128-base window.
+        case = planted_case(
+            random.Random(0xA6),
+            query_len=150,
+            left_flank=1500,
+            right_flank=1500,
+            edits=request.param,
+        )
+        return stream_align(
+            case.reference,
+            case.query,
+            config=StreamConfig(chunk_size=1024, overlap=192),
+        ).stitched
+
+    def test_no_window_cut_raises(self, short_stitched):
+        with pytest.raises(StreamError, match="no verification window"):
+            verify_windows(short_stitched, windows=5)
+
+    def test_zero_windows_returns_empty(self, short_stitched):
+        assert verify_windows(short_stitched, windows=0) == []
+
+    def test_negative_windows_rejected(self, short_stitched):
+        with pytest.raises(ValueError, match="windows must be >= 0"):
+            verify_windows(short_stitched, windows=-3)

@@ -9,8 +9,11 @@ value and captured streams.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from conftest import mutate_dna, random_dna
 from repro.cli import main
 
 
@@ -106,6 +109,37 @@ class TestBadFlags:
         assert "Traceback" not in err
         [line] = [line for line in err.splitlines() if "error:" in line]
         assert "must be >= 1, got 0" in line
+
+    def test_negative_verify_windows_rejected_before_the_scan(self, capsys):
+        code, out, err = run(
+            ["stream", "align", "ACGT" * 100, "ACGT" * 10,
+             "--verify-windows", "-3"],
+            capsys,
+        )
+        assert code == 2
+        assert not out
+        assert "Traceback" not in err
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        assert "--verify-windows must be >= 0, got -3" in line
+
+    def test_verify_windows_with_nothing_to_cut(self, capsys):
+        # A 150 bp query maps, but its anchors sit too close together
+        # for any 128-base window: "0/0 windows" must not read as a pass.
+        rng = random.Random(0xA6)
+        query = random_dna(150, rng)
+        reference = (
+            random_dna(1500, rng) + mutate_dna(query, 2, rng)
+            + random_dna(1500, rng)
+        )
+        code, out, err = run(
+            ["stream", "align", reference, query, "--verify-windows", "5"],
+            capsys,
+        )
+        assert code == 2
+        assert "conformance:" not in out
+        assert "Traceback" not in err
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        assert "no verification window" in line
 
 
 class TestBadFiles:
