@@ -43,7 +43,8 @@
 # memory gate), the mapper suites (the stream's sketch filter lives in
 # `repro.mapper.windows`), the seqio streaming tests, the BENCH_stream.json
 # benchmark, and a scaled end-to-end conformance drill through the CLI
-# (1 Mbp reference x 100 kbp query, 50 Hirschberg-verified windows).
+# (1 Mbp reference x 100 kbp query, 50 Hirschberg-verified windows on
+# the pool engine, plus a serial run whose score and CIGAR must match).
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
@@ -100,7 +101,13 @@ stream-test:
 	PYTHONPATH=src $(PYTHON) -m repro stream align \
 		/tmp/stream-e2e/e2e_ref.fasta /tmp/stream-e2e/e2e_query.fasta \
 		--record chrE2E --engine pool --workers 2 \
-		--verify-windows 50 --seed 7
+		--verify-windows 50 --seed 7 --json /tmp/stream-e2e/pool.json
+	PYTHONPATH=src $(PYTHON) -m repro stream align \
+		/tmp/stream-e2e/e2e_ref.fasta /tmp/stream-e2e/e2e_query.fasta \
+		--record chrE2E --engine serial --json /tmp/stream-e2e/serial.json
+	$(PYTHON) -c 'import json; \
+		pool, serial = (json.load(open(f"/tmp/stream-e2e/{e}.json")) for e in ("pool", "serial")); \
+		assert (serial["score"], serial["cigar"]) == (pool["score"], pool["cigar"]), "serial and pool engines disagree"'
 
 bench:
 	$(PYTEST) -q benchmarks

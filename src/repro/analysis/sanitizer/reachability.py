@@ -71,7 +71,6 @@ __all__ = [
 DEFAULT_ROOTS = (
     "align/parallel.py::_align_shard",
     "resilience/engine.py::_run_attempt",
-    "stream/pipeline.py::_chunk_align_body",
 )
 
 #: Attribute names that act as ambient hooks when assigned on any object.

@@ -529,15 +529,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("serial", "pool", "resilient"),
         default="serial",
-        help="chunk-job execution engine (dist needs the Python API)",
+        help="chunk-job execution engine",
     )
     stream_align.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="worker processes (pool/resilient engines)",
-    )
-    stream_align.add_argument(
-        "--shard-size", type=int, default=None, metavar="CHUNKS",
-        help="chunk jobs per shard (default: planned from the cost model)",
     )
     stream_align.add_argument(
         "--checkpoint", metavar="FILE", default=None,
@@ -1201,9 +1197,12 @@ def _cmd_dist_coordinator(args) -> int:
 def _cmd_stream(args) -> int:
     import json
     import os
+    from dataclasses import asdict
 
+    from .mapper.windows import DEFAULT_K
     from .resilience import CheckpointError
     from .stream import StreamConfig, StreamError, stream_align, verify_windows
+    from .workloads.seqio import iter_fasta_blocks
 
     if args.chunk_size < 1 or args.overlap < 0:
         print(
@@ -1220,39 +1219,26 @@ def _cmd_stream(args) -> int:
         return 2
     config = StreamConfig(chunk_size=args.chunk_size, overlap=args.overlap)
 
-    def load_query(source: str) -> str:
+    def read(source: str, record=None):
+        """A literal sequence, or a FASTA record's blocks; case folded."""
         if not os.path.exists(source):
             return source.upper()
-        from .workloads.seqio import iter_fasta_blocks
+        return (
+            block.upper()
+            for block in iter_fasta_blocks(source, record=record)
+        )
 
-        return "".join(iter_fasta_blocks(source))
-
-    query = load_query(args.query)
+    query = "".join(read(args.query))
     try:
         config.validate()
-        if os.path.exists(args.reference):
-            from .stream import stream_align_fasta
-
-            result = stream_align_fasta(
-                args.reference,
-                query,
-                record=args.record,
-                config=config,
-                engine=args.engine,
-                workers=args.workers,
-                shard_size=args.shard_size,
-                checkpoint=args.checkpoint,
-            )
-        else:
-            result = stream_align(
-                args.reference.upper(),
-                query,
-                config=config,
-                engine=args.engine,
-                workers=args.workers,
-                shard_size=args.shard_size,
-                checkpoint=args.checkpoint,
-            )
+        result = stream_align(
+            read(args.reference, args.record),
+            query,
+            config=config,
+            engine=args.engine,
+            workers=args.workers,
+            checkpoint=args.checkpoint,
+        )
     except (StreamError, CheckpointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1321,28 +1307,12 @@ def _cmd_stream(args) -> int:
             "config": {
                 "chunk_size": config.chunk_size,
                 "overlap": config.overlap,
-                "k": config.k,
-                "span_pad": config.resolved_span_pad,
+                "k": DEFAULT_K,
+                "span_pad": config.span_pad,
             },
-            "counters": {
-                "chunks": counters.chunks,
-                "candidates": counters.candidates,
-                "holes_promoted": counters.holes_promoted,
-                "spurious_skipped": counters.spurious_skipped,
-                "jobs": counters.jobs,
-            },
-            "stitch": {
-                "anchor_seams": stitch.anchor_seams,
-                "bridge_seams": stitch.bridge_seams,
-                "bridge_columns": stitch.bridge_columns,
-                "skipped_alignments": stitch.skipped_alignments,
-                "max_heap_depth": stitch.max_heap_depth,
-            },
-            "timings": {
-                "filter_seconds": timings.filter_seconds,
-                "align_seconds": timings.align_seconds,
-                "stitch_seconds": timings.stitch_seconds,
-            },
+            "counters": asdict(counters),
+            "stitch": asdict(stitch),
+            "timings": asdict(timings),
             "windows": window_report,
         }
         with open(args.json, "w", encoding="utf-8") as handle:

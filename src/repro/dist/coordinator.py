@@ -247,17 +247,10 @@ class DistCoordinator:
         *,
         config: Optional[DistConfig] = None,
         checkpoint: Optional[str] = None,
-        journal_meta: Optional[dict] = None,
         fault_plan=None,
     ) -> None:
         self.aligner = aligner
         self.config = config if config is not None else DistConfig()
-        self.journal_meta = dict(journal_meta) if journal_meta else {}
-        if {"aligner", "traceback", "plan"} & set(self.journal_meta):
-            raise DistError(
-                "journal_meta may not override the reserved keys "
-                "aligner/traceback/plan"
-            )
         self.nodes: Dict[str, _NodeState] = {}
         for handle in nodes:
             if handle.name in self.nodes:
@@ -393,7 +386,6 @@ class DistCoordinator:
                     "aligner": self.fingerprint,
                     "traceback": traceback,
                     "plan": None,
-                    **self.journal_meta,
                 },
             )
         counters = DistCounters(shards=len(shards))

@@ -29,6 +29,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 DNA_ALPHABET = frozenset("ACGT")
 
+#: Default k-mer length of :class:`QuerySketch`.
+DEFAULT_K = 16
+
 
 @dataclass(frozen=True)
 class WindowVote:
@@ -63,7 +66,7 @@ class QuerySketch:
         self,
         query: str,
         *,
-        k: int = 16,
+        k: int = DEFAULT_K,
         stride: int = 8,
         max_occurrences: int = 512,
     ) -> None:

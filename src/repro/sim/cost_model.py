@@ -532,29 +532,3 @@ def predict_pair_cost(aligner, n: int, m: int, *, traceback: bool = True) -> int
         return n * m
     return max(1, stats.total_instructions)
 
-
-#: Predicted-instruction budget per shard of stream chunk jobs — sized so
-#: a shard is coarse enough to amortise dispatch but small enough that a
-#: retried or re-leased shard stays cheap.
-DEFAULT_STREAM_SHARD_COST = 50_000_000
-
-
-def plan_stream_shard_size(
-    aligner,
-    n: int,
-    m: int,
-    *,
-    target_cost: int = DEFAULT_STREAM_SHARD_COST,
-    traceback: bool = True,
-    max_shard: int = 64,
-) -> int:
-    """Chunk jobs per shard for the streaming pipeline's batch engines.
-
-    Uses :func:`predict_pair_cost` on the representative chunk-job shape
-    ``n x m`` (query span x window) so shards carry a roughly constant
-    predicted cost regardless of chunk geometry or engine.
-    """
-    if n <= 0 or m <= 0:
-        return 1
-    cost = predict_pair_cost(aligner, n, m, traceback=traceback)
-    return max(1, min(max_shard, target_cost // max(1, cost)))

@@ -1,13 +1,13 @@
 """repro.stream — chromosome-scale chunked alignment with bounded memory.
 
 The streaming pipeline splits an arbitrarily long reference into
-overlapping windows, probes every ``probe_stride``-th reference base
-(8 by default) against an index of every query k-mer to pick the few
-windows the query can plausibly map to, aligns only those windows with
-auto-widening Banded(GMX) through any of the repository's batch
-engines, and stitches the per-window alignments back into one global
-alignment with deterministic overlap reconciliation.  Peak memory is
-O(chunk + query), independent of reference length.
+overlapping windows, probes every 8th reference base against an index
+of every query k-mer to pick the few windows the query can plausibly
+map to, aligns only those windows with auto-widening Banded(GMX)
+through ``align_batch`` (serial or pooled) or the resilient engine,
+and stitches the per-window alignments, in job order, back into one
+global alignment with deterministic overlap reconciliation.  Peak
+memory is O(chunk + query), independent of reference length.
 
 Entry points:
 

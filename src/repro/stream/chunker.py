@@ -77,8 +77,7 @@ def chunk_spans(
     length: int, chunk_size: int, overlap: int
 ) -> List[Tuple[int, int]]:
     """The ``(start, end)`` windows a reference of ``length`` bases cuts
-    into — the offline mirror of :func:`iter_reference_chunks`, used by
-    tests and by cost planning."""
+    into — the offline mirror of :func:`iter_reference_chunks`."""
     validate_chunking(chunk_size, overlap)
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")

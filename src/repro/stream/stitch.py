@@ -4,8 +4,8 @@ Each candidate chunk is aligned GLOBALly — query span against reference
 window — by whatever engine the pipeline chose.  This module turns those
 per-chunk alignments back into **one** global alignment:
 
-* results may arrive out of order (sharded / distributed engines); a
-  heap holds early arrivals until their turn (:meth:`Stitcher.submit`);
+* results arrive in job order — every engine returns them that way,
+  and :meth:`Stitcher.submit` rejects any other order;
 * neighbouring chunks share ``overlap`` reference bases; both of their
   alignments are searched for **common anchors** — maximal exact-match
   runs on the same (query, reference) diagonal that both alignments
@@ -27,14 +27,12 @@ per-chunk alignments back into **one** global alignment:
   does not depend on where windows happened to start.
 
 Memory: the stitcher holds the committed run-length CIGAR (O(runs)),
-the covered reference text (O(query), for validation), one pending
-chunk, and whatever the heap buffers while results are out of order —
-with in-order engines that is a single entry.
+the covered reference text (O(query), for validation), and one pending
+chunk.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -150,7 +148,6 @@ class ChunkAlignment:
     job: ChunkJob
     ops: Tuple[str, ...]
     score: int
-    stats: object = None
 
 
 @dataclass(frozen=True)
@@ -185,7 +182,6 @@ class StitchCounters:
     skipped_alignments: int = 0
     head_unmapped: int = 0
     tail_unmapped: int = 0
-    max_heap_depth: int = 0
 
 
 @dataclass
@@ -299,28 +295,19 @@ def common_anchor(
 class Stitcher:
     """Merge per-chunk alignments into one global alignment.
 
-    Results are :meth:`submit`-ted in any order; :meth:`finish` seals the
-    stream and returns the :class:`StitchedAlignment`.
+    Results are :meth:`submit`-ted in job order; :meth:`finish` seals
+    the stream and returns the replay-validated
+    :class:`StitchedAlignment`.
     """
 
-    def __init__(
-        self,
-        query: str,
-        *,
-        min_anchor: int = 12,
-        bridge_aligner=None,
-    ) -> None:
+    def __init__(self, query: str, *, min_anchor: int = 12) -> None:
         if not query:
             raise StreamError("cannot stitch an empty query")
         if min_anchor < 1:
             raise ValueError(f"min_anchor must be >= 1, got {min_anchor}")
         self.query = query
         self.min_anchor = min_anchor
-        self._bridge_aligner = (
-            bridge_aligner if bridge_aligner is not None else HirschbergAligner()
-        )
-        self._heap: List[Tuple[int, int, ChunkAlignment]] = []
-        self._arrivals = 0
+        self._bridge_aligner = HirschbergAligner()
         self._next_order = 0
         self._pending: Optional[_Pending] = None
         # Skipped-but-contiguous chunks parked between seams: their
@@ -335,7 +322,7 @@ class Stitcher:
     # -- submission ------------------------------------------------------
 
     def submit(self, result: ChunkAlignment) -> None:
-        """Accept one chunk alignment; buffers until its order is due."""
+        """Accept the next chunk alignment in job order."""
         if self._finished:
             raise StreamError("stitcher already finished")
         order = result.job.order
@@ -344,26 +331,27 @@ class Stitcher:
                 f"chunk order {order} submitted twice (next expected "
                 f"{self._next_order})"
             )
-        self._arrivals += 1
-        heapq.heappush(self._heap, (order, self._arrivals, result))
-        self.counters.max_heap_depth = max(
-            self.counters.max_heap_depth, len(self._heap)
-        )
-        while self._heap and self._heap[0][0] == self._next_order:
-            _, _, due = heapq.heappop(self._heap)
-            self._advance(due)
-            self._next_order += 1
+        if order > self._next_order:
+            raise StreamError(
+                f"chunk order {order} submitted before order "
+                f"{self._next_order}: results must arrive in job order"
+            )
+        self._next_order += 1
+        anchors = find_anchors(result, min_anchor=self.min_anchor)
+        with obs.span(
+            "stream.stitch",
+            chunk=result.job.chunk_index,
+            anchors=len(anchors),
+        ):
+            if self._pending is None:
+                self._accept_first(result, anchors)
+            else:
+                self._reconcile(result, anchors)
 
-    def finish(self, *, validate: bool = True) -> StitchedAlignment:
-        """Seal the stream and return the assembled global alignment."""
+    def finish(self) -> StitchedAlignment:
+        """Seal the stream and return the validated global alignment."""
         if self._finished:
             raise StreamError("stitcher already finished")
-        if self._heap:
-            missing = self._next_order
-            raise StreamError(
-                f"chunk order {missing} never arrived "
-                f"({len(self._heap)} results still buffered)"
-            )
         self._finished = True
         if self._pending is None:
             raise StreamError(
@@ -398,8 +386,7 @@ class Stitcher:
             text=text,
             counters=self.counters,
         )
-        if validate:
-            stitched.to_alignment().validate()
+        stitched.to_alignment().validate()
         return stitched
 
     # -- flank repair ----------------------------------------------------
@@ -466,19 +453,6 @@ class Stitcher:
         return repaired, text[:roff + exit_at]
 
     # -- internals -------------------------------------------------------
-
-    def _advance(self, result: ChunkAlignment) -> None:
-        """Process the next in-order chunk alignment."""
-        anchors = find_anchors(result, min_anchor=self.min_anchor)
-        with obs.span(
-            "stream.stitch",
-            chunk=result.job.chunk_index,
-            anchors=len(anchors),
-        ):
-            if self._pending is None:
-                self._accept_first(result, anchors)
-            else:
-                self._reconcile(result, anchors)
 
     def _accept_first(
         self, result: ChunkAlignment, anchors: List[Anchor]

@@ -13,7 +13,6 @@ import pytest
 
 from conftest import mutate_dna, random_dna
 from repro.mapper import QuerySketch
-from repro.stream import StreamConfig
 
 K = 16
 STRIDE = 8
@@ -131,7 +130,6 @@ class TestIndex:
 
     def test_default_cap_matches_the_stream_config(self):
         assert QuerySketch("ACGT" * 8).max_occurrences == 512
-        assert StreamConfig().max_occurrences == 512
 
     def test_n_and_lowercase_kmers_never_index_or_vote(self):
         rng = random.Random(0x54)

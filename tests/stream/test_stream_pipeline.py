@@ -4,13 +4,21 @@ error contracts of :func:`repro.stream.stream_align`."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from repro.baselines import EdlibAligner
+from repro.mapper import QuerySketch
 from repro.obs import runtime as obs
 from repro.resilience import CheckpointError
-from repro.stream import StreamConfig, StreamError, stream_align, stream_align_fasta
+from repro.stream import (
+    ENGINES,
+    StreamConfig,
+    StreamError,
+    stream_align,
+    stream_align_fasta,
+)
 
 from .cases import blocks_of, planted_case
 from conftest import random_dna, scalar_edit_distance
@@ -126,6 +134,33 @@ class TestEngines:
     def test_unknown_engine_rejected(self, case):
         with pytest.raises(ValueError, match="unknown engine"):
             stream_align(case.reference, case.query, engine="quantum")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_stage_timings_fit_inside_the_call(
+        self, case, engine, monkeypatch
+    ):
+        # The engines pull chunk jobs lazily, so the filter runs inside
+        # the engine call; it must be counted once, not again as align.
+        scan_window = QuerySketch.scan_window
+
+        def slow_scan_window(self, *args, **kwargs):
+            time.sleep(0.02)
+            return scan_window(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuerySketch, "scan_window", slow_scan_window)
+        start = time.perf_counter()
+        result = stream_align(
+            case.reference, case.query, config=CONFIG, engine=engine,
+            workers=2,
+        )
+        wall = time.perf_counter() - start
+        timings = result.timings
+        assert timings.filter_seconds >= 0.02 * result.counters.chunks
+        assert timings.align_seconds > 0
+        assert (
+            timings.filter_seconds + timings.align_seconds
+            + timings.stitch_seconds
+        ) <= wall
 
 
 class TestChunkAligner:

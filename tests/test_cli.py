@@ -1,7 +1,11 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+import random
+
 import pytest
 
+from conftest import mutate_dna, random_dna
 from repro.cli import main
 
 
@@ -251,3 +255,57 @@ class TestChaos:
         data = json.loads(report_path.read_text())
         assert data["ok"] is True
         assert data["counters"]["faults_injected"] == 3
+
+
+class TestStreamAlign:
+    @pytest.fixture(scope="class")
+    def planted(self):
+        rng = random.Random(0x50F7)
+        query = random_dna(3000, rng)
+        reference = (
+            random_dna(30_000, rng) + mutate_dna(query, 30, rng)
+            + random_dna(27_000, rng)
+        )
+        return reference, query
+
+    @staticmethod
+    def report(tmp_path, reference, query, tag):
+        paths = []
+        for name, sequence in (("chr1", reference), ("query", query)):
+            path = tmp_path / f"{tag}-{name}.fasta"
+            lines = [sequence[lo:lo + 60] for lo in range(0, len(sequence), 60)]
+            path.write_text(f">{name}\n" + "\n".join(lines) + "\n")
+            paths.append(str(path))
+        out = tmp_path / f"{tag}.json"
+        assert main(["stream", "align", *paths, "--json", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_lowercase_fasta_maps_like_uppercase(
+        self, planted, tmp_path, capsys
+    ):
+        reference, query = planted
+        upper = self.report(tmp_path, reference, query, "upper")
+        lower = self.report(
+            tmp_path, reference.lower(), query.lower(), "lower"
+        )
+        for key in ("score", "text_start", "text_end", "cigar"):
+            assert lower[key] == upper[key], key
+        assert upper["score"] <= 30
+
+    def test_json_blocks_carry_what_the_text_prints(
+        self, planted, tmp_path, capsys
+    ):
+        reference, query = planted
+        report = self.report(tmp_path, reference, query, "json")
+        out = capsys.readouterr().out
+        stitch = report["stitch"]
+        assert "max_heap_depth" not in stitch
+        assert (
+            f"{stitch['head_unmapped']}/{stitch['tail_unmapped']} "
+            "unmapped head/tail"
+        ) in out
+        assert stitch["chunks"] >= 1
+        assert report["counters"]["jobs"] >= stitch["chunks"]
+        assert set(report["timings"]) == {
+            "filter_seconds", "align_seconds", "stitch_seconds"
+        }
