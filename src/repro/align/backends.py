@@ -15,14 +15,14 @@ images ``M[i][j] = (ΔV_out, ΔH_out)`` plus the bottom-row ΔH stream — from
     The fast engine: the whole pattern is held in one Python
     arbitrary-precision-integer bitvector pair (Pv, Mv) and each text
     character advances *all* tile rows with a single Myers/Hyyrö column
-    step (:func:`repro.core.tile.advance_column`) — O(1) big-int ops per
-    column instead of O(tiles) tile instructions of O(T) Python work.
-    When traceback is requested it keeps each text column's Δv=+1 and
-    Δh=+1 masks instead of tile edge images, and the aligners walk the
-    CC_TB rule on those columns instead of recomputing tiles with
-    ``gmx.tb``.  Scores, CIGARs and :class:`KernelStats` are byte-identical
-    to ``pure`` (block-equivalence of the Myers recurrence: both engines
-    compute the unique Δ values of the same DP matrix).
+    step — O(1) big-int ops per column instead of O(tiles) tile
+    instructions of O(T) Python work.  When traceback is requested it
+    keeps each text column's Δv=+1 and Δh=+1 masks instead of tile edge
+    images, and the aligners walk the CC_TB rule on those columns instead
+    of recomputing tiles with ``gmx.tb``.  Scores, CIGARs and
+    :class:`KernelStats` are byte-identical to ``pure`` (block-equivalence
+    of the Myers recurrence: both engines compute the unique Δ values of
+    the same DP matrix).
 
 Both engines are built once, at import, into a read-only table:
 :func:`get_backend` looks one up by name and :func:`backend_names` lists
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..core.bitvec import mask, unpack_deltas
+from ..core.bitvec import mask, pack_plus_minus, popcount, unpack_deltas
 from ..core.isa import GmxIsa
 from ..core.tile import advance_column, build_peq
 from .base import KernelStats
@@ -63,6 +63,7 @@ __all__ = [
     "KernelBackend",
     "PureTileBackend",
     "backend_names",
+    "boundary_images",
     "effective_backend",
     "get_backend",
 ]
@@ -78,6 +79,15 @@ class BackendError(ValueError):
 def _edge_bytes(tile_size: int) -> int:
     """Bytes per stored tile edge register (2T bits; 8 bytes at T = 32)."""
     return (2 * tile_size + 7) // 8
+
+
+def boundary_images(chunks: List[str], fill: int) -> List[int]:
+    """Packed edge images of a matrix boundary, one per chunk, all ``fill``.
+
+    Only the ``pure`` engine and the tile walks it feeds read these, so
+    they build them; the ``bitpar`` fills start from whole-pattern masks.
+    """
+    return [pack_plus_minus(fill * mask(len(chunk)), 0) for chunk in chunks]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +108,8 @@ class FullMatrixRequest:
         top_fill: top-boundary ΔH fill value (+1, or 0 for INFIX mode).
         fused: retire ``gmx.vh`` instead of the ``gmx.v``/``gmx.h`` pair.
         traceback: keep what traceback reads (see :class:`FullMatrixResult`).
-        boundary_v / boundary_h: packed boundary edge images per chunk.
+        bottom_row: keep the bottom-row ΔH stream (PREFIX and INFIX read
+            its minimum; GLOBAL reads only the corner).
     """
 
     isa: GmxIsa
@@ -110,8 +121,7 @@ class FullMatrixRequest:
     top_fill: int
     fused: bool
     traceback: bool
-    boundary_v: List[int]
-    boundary_h: List[int]
+    bottom_row: bool
 
 
 @dataclass
@@ -135,15 +145,17 @@ class FullMatrixResult:
     """Outputs of a Full(GMX) DP-matrix phase.
 
     Attributes:
+        corner: ``D[n][m]``, the bottom-right cell (GLOBAL's score).
         bottom_deltas: ΔH values along the bottom matrix row, one per
-            text column.
+            text column (when the request asked for the bottom row).
         matrix: ``M[i][j] = (ΔV_out, ΔH_out)`` images (``pure``, when
             traceback was requested).
         columns: every text column's Δ masks (``bitpar``, when traceback
             was requested).
     """
 
-    bottom_deltas: List[int]
+    corner: int
+    bottom_deltas: Optional[List[int]] = None
     matrix: Optional[List[List[Tuple[int, int]]]] = None
     columns: Optional[ColumnMasks] = None
 
@@ -152,9 +164,8 @@ class FullMatrixResult:
 class BandedMatrixRequest:
     """Inputs of a Banded(GMX) band pass (one fixed band width).
 
-    Attributes are as in :class:`FullMatrixRequest`, except that
-    ``boundary_v``/``boundary_h`` (all +1) also fill every edge entering
-    the band from an uncomputed neighbour, plus:
+    The attributes shared with :class:`FullMatrixRequest` mean the same
+    (a band pass always has top fill +1 and never fuses), plus:
         tile_band: band half-width in tile units.
     """
 
@@ -166,8 +177,6 @@ class BandedMatrixRequest:
     tile_size: int
     tile_band: int
     traceback: bool
-    boundary_v: List[int]
-    boundary_h: List[int]
 
 
 @dataclass
@@ -252,12 +261,13 @@ class PureTileBackend(KernelBackend):
         if request.traceback:
             matrix = [[(0, 0)] * m_tiles for _ in range(n_tiles)]
         bottom_deltas: List[int] = []
-        dv_column = list(request.boundary_v)
+        dv_column = boundary_images(request.p_chunks, 1)
+        boundary_h = boundary_images(request.t_chunks, request.top_fill)
         for j, text_chunk in enumerate(request.t_chunks):
             isa.csrw("gmx_text", text_chunk)
             stats.add_instr("int_alu", 2)
             stats.add_instr("branch", 1)
-            dh_down = request.boundary_h[j]
+            dh_down = boundary_h[j]
             for i, pattern_chunk in enumerate(request.p_chunks):
                 isa.csrw("gmx_pattern", pattern_chunk)
                 dv_in = dv_column[i]
@@ -281,7 +291,11 @@ class PureTileBackend(KernelBackend):
                 stats.tiles += 1
             bottom_deltas.extend(unpack_deltas(dh_down, len(text_chunk)))
             stats.add_instr("int_alu", 3)
-        return FullMatrixResult(bottom_deltas=bottom_deltas, matrix=matrix)
+        return FullMatrixResult(
+            corner=len(request.pattern) + sum(bottom_deltas),
+            bottom_deltas=bottom_deltas if request.bottom_row else None,
+            matrix=matrix,
+        )
 
     def banded_matrix(self, request: BandedMatrixRequest) -> BandedMatrixResult:
         isa = request.isa
@@ -293,6 +307,10 @@ class PureTileBackend(KernelBackend):
         if request.traceback:
             matrix = {}
         bottoms: List[int] = []
+        # All +1: the matrix boundary, and the fill entering the band
+        # from uncomputed neighbours.
+        boundary_v = boundary_images(request.p_chunks, 1)
+        boundary_h = boundary_images(request.t_chunks, 1)
         dv_prev: Dict[int, int] = {}
         for tj, text_chunk in enumerate(request.t_chunks):
             lo = max(0, tj - bt)
@@ -305,8 +323,8 @@ class PureTileBackend(KernelBackend):
             for ti in range(lo, hi + 1):
                 pattern_chunk = request.p_chunks[ti]
                 isa.csrw("gmx_pattern", pattern_chunk)
-                dv_in = dv_prev.get(ti, request.boundary_v[ti])
-                dh_in = request.boundary_h[tj] if ti == lo else dh_down
+                dv_in = dv_prev.get(ti, boundary_v[ti])
+                dh_in = boundary_h[tj] if ti == lo else dh_down
                 dv_out = isa.gmx_v(dv_in, dh_in)
                 dh_out = isa.gmx_h(dv_in, dh_in)
                 dv_cur[ti] = dv_out
@@ -335,14 +353,15 @@ class PureTileBackend(KernelBackend):
 class BitparTileBackend(KernelBackend):
     """Whole-pattern Myers/Hyyrö bitvector engine.
 
-    One :func:`~repro.core.tile.advance_column` call advances every tile
-    row at once: the (Pv, Mv) pair spans the entire pattern as one big
-    integer, so each text character costs O(1) big-int operations instead
-    of one Python-level tile loop per tile row.  For traceback the fill
-    keeps every text column's Δ masks (:class:`ColumnMasks`), which the
-    aligners walk directly; retired-instruction and stats accounting
-    reproduces the ``pure`` recipes in bulk, so the two backends are
-    indistinguishable downstream.
+    One Myers column step advances every tile row at once: the (Pv, Mv)
+    pair spans the entire pattern as one big integer, so each text
+    character costs O(1) big-int operations instead of one Python-level
+    tile loop per tile row.  Full inlines the step; Banded calls
+    :func:`~repro.core.tile.advance_column` on each column's band segment.
+    For traceback the fill keeps every text column's Δ masks
+    (:class:`ColumnMasks`), which the aligners walk directly;
+    retired-instruction and stats accounting reproduces the ``pure``
+    recipes in bulk, so the two backends are indistinguishable downstream.
     """
 
     name = "bitpar"
@@ -352,53 +371,85 @@ class BitparTileBackend(KernelBackend):
     # -- full matrix --------------------------------------------------------
 
     def full_matrix(self, request: FullMatrixRequest) -> FullMatrixResult:
-        pattern = request.pattern
-        n = len(pattern)
-        peq = build_peq(pattern)
-        n_tiles = len(request.p_chunks)
-        pv = mask(n)  # left boundary: every ΔV is +1
-        mv = 0
+        """One inlined Myers column step per text character.
+
+        The step is :func:`~repro.core.tile.advance_column` over all ``n``
+        rows with the top ΔH fixed at ``top_fill`` (0 or +1), written out
+        so that a column costs no call and no tuple.  ``~x & rows`` is
+        spelled ``(x & rows) ^ rows``, which never builds a negative big
+        int; the carry of ``(eq & pv) + pv`` into bit ``n`` is dropped by
+        the masks of ``ph`` and ``mh``.  The bottom-row ΔH is kept only
+        when the request asks for it and the Δ masks only for traceback;
+        ``D[n][m] = top_fill·m + popcount(pv) − popcount(mv)`` is read off
+        the last column.
+        """
+        n = len(request.pattern)
+        rows = mask(n)
+        bottom = 1 << (n - 1)
+        top_fill = request.top_fill
+        peq_get = build_peq(request.pattern).get
         keep_columns = request.traceback
         dv_plus: List[int] = []
         dh_plus: List[int] = []
-        bottom_deltas: List[int] = []
-        for text_chunk in request.t_chunks:
-            for text_char in text_chunk:
-                pv, mv, h_out, ph, _ = advance_column(
-                    peq.get(text_char, 0), pv, mv, request.top_fill, n
+        bottom_deltas: Optional[List[int]] = [] if request.bottom_row else None
+        text = "".join(request.t_chunks)
+        pv = rows  # left boundary: every ΔV is +1
+        mv = 0
+        for text_char in text:
+            eq = peq_get(text_char, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = (((xh | pv) & rows) ^ rows) | mv  # rows whose Δh is +1
+            mh = pv & xh  # rows whose Δh is −1
+            if bottom_deltas is not None:
+                bottom_deltas.append(
+                    1 if ph & bottom else -1 if mh & bottom else 0
                 )
-                bottom_deltas.append(h_out)
-                if keep_columns:
-                    dv_plus.append(pv)
-                    dh_plus.append(ph)
-            self._account_full_column(request, n, n_tiles, len(text_chunk))
+            ph_in = ((ph << 1) & rows) | top_fill  # Δh entering each row
+            pv = ((mh << 1) & rows) | ((xv | ph_in) ^ rows)
+            mv = ph_in & xv
+            if keep_columns:
+                dv_plus.append(pv)
+                dh_plus.append(ph)
+        self._charge_full(request, n, len(text))
         columns = None
         if keep_columns:
-            columns = ColumnMasks([0] * len(dv_plus), dv_plus, dh_plus)
-        return FullMatrixResult(bottom_deltas=bottom_deltas, columns=columns)
+            columns = ColumnMasks([0] * len(text), dv_plus, dh_plus)
+        return FullMatrixResult(
+            corner=top_fill * len(text) + popcount(pv) - popcount(mv),
+            bottom_deltas=bottom_deltas,
+            columns=columns,
+        )
 
-    def _account_full_column(
-        self, request: FullMatrixRequest, rows: int, n_tiles: int, cols: int
+    def _charge_full(
+        self, request: FullMatrixRequest, rows: int, cols: int
     ) -> None:
-        """Retire one tile column's worth of the ``pure`` instruction recipe."""
+        """Retire the ``pure`` instruction recipe of the whole fill at once.
+
+        Per tile column: 1 ``csrw``, 5 int ops and 1 branch; per tile:
+        1 ``csrw``, the tile instruction(s), 4 int ops, 1 branch, 2 loads
+        and, for traceback, 2 stores — charged in ``pure``'s order.
+        """
         isa = request.isa
         stats = request.stats
         edge_bytes = _edge_bytes(request.tile_size)
-        isa.retired["csrw"] += n_tiles + 1
+        m_tiles = len(request.t_chunks)
+        tiles = len(request.p_chunks) * m_tiles
+        isa.retired["csrw"] += tiles + m_tiles
         if request.fused:
-            isa.retired["gmx.vh"] += n_tiles
+            isa.retired["gmx.vh"] += tiles
         else:
-            isa.retired["gmx.v"] += n_tiles
-            isa.retired["gmx.h"] += n_tiles
-        stats.add_instr("int_alu", 4 * n_tiles + 5)
-        stats.add_instr("branch", n_tiles + 1)
-        stats.add_instr("load", 2 * n_tiles)
-        stats.dp_bytes_read += 2 * edge_bytes * n_tiles
+            isa.retired["gmx.v"] += tiles
+            isa.retired["gmx.h"] += tiles
+        stats.add_instr("int_alu", 4 * tiles + 5 * m_tiles)
+        stats.add_instr("branch", tiles + m_tiles)
         if request.traceback:
-            stats.add_instr("store", 2 * n_tiles)
-            stats.dp_bytes_written += 2 * edge_bytes * n_tiles
+            stats.add_instr("store", 2 * tiles)
+            stats.dp_bytes_written += 2 * edge_bytes * tiles
+        stats.add_instr("load", 2 * tiles)
+        stats.dp_bytes_read += 2 * edge_bytes * tiles
         stats.dp_cells += rows * cols
-        stats.tiles += n_tiles
+        stats.tiles += tiles
 
     # -- banded matrix ------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..core.bitvec import mask, pack_plus_minus, unpack_deltas
+from ..core.bitvec import unpack_deltas
 from ..core.cigar import (
     Alignment,
     OP_DELETION,
@@ -31,6 +31,7 @@ from ..obs import runtime as obs
 from .backends import (
     BandedMatrixRequest,
     BandedMatrixResult,
+    boundary_images,
     effective_backend,
     get_backend,
 )
@@ -137,11 +138,6 @@ class BandedGmxAligner(Aligner):
         n_tiles = len(p_chunks)
         bt = self._tile_band(band)
 
-        # All +1: the matrix boundary, and the fill entering the band
-        # from uncomputed neighbours.
-        plus_v = [pack_plus_minus(mask(len(chunk)), 0) for chunk in p_chunks]
-        plus_h = [pack_plus_minus(mask(len(chunk)), 0) for chunk in t_chunks]
-
         def rows_through(tile_row: int) -> int:
             """Number of pattern rows covered by tile rows 0..tile_row."""
             if tile_row < 0:
@@ -158,8 +154,6 @@ class BandedGmxAligner(Aligner):
                 tile_size=tile,
                 tile_band=bt,
                 traceback=traceback,
-                boundary_v=plus_v,
-                boundary_h=plus_h,
             )
         )
 
@@ -192,7 +186,7 @@ class BandedGmxAligner(Aligner):
         if traceback:
             ops = self._traceback(
                 isa, stats, pattern, text, p_chunks, t_chunks, outcome,
-                plus_v, plus_h, bt,
+                bt,
             )
             # Inside the band the path cost equals the corner value; report
             # the path's own cost so a non-certified (heuristic) result still
@@ -217,8 +211,6 @@ class BandedGmxAligner(Aligner):
         p_chunks: List[str],
         t_chunks: List[str],
         outcome: BandedMatrixResult,
-        plus_v: List[int],
-        plus_h: List[int],
         bt: int,
     ) -> List[str]:
         tile = self.tile_size
@@ -238,6 +230,8 @@ class BandedGmxAligner(Aligner):
             )
         else:
             matrix = outcome.matrix
+            plus_v = boundary_images(p_chunks, 1)
+            plus_h = boundary_images(t_chunks, 1)
 
             def edges(ti: int, tj: int) -> Tuple[int, int]:
                 if (ti, tj) not in matrix:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from ..core.bitvec import mask, pack_plus_minus
 from ..core.cigar import Alignment, OP_DELETION, OP_INSERTION
 from ..core.isa import GmxIsa, encode_pos
 from ..core.tile import DEFAULT_TILE_SIZE
@@ -44,6 +43,7 @@ from .backends import (
     ColumnMasks,
     FullMatrixRequest,
     FullMatrixResult,
+    boundary_images,
     effective_backend,
     get_backend,
 )
@@ -237,17 +237,13 @@ class FullGmxAligner(Aligner):
         t_chunks = _chunks(text, tile)
         n_tiles = len(p_chunks)
         m_tiles = len(t_chunks)
-
-        boundary_v = [pack_plus_minus(mask(len(chunk)), 0) for chunk in p_chunks]
         top_fill = 0 if self.mode is AlignmentMode.INFIX else 1
-        boundary_h = [
-            pack_plus_minus(top_fill * mask(len(chunk)), 0) for chunk in t_chunks
-        ]
 
         # ---- Algorithm 1: tile-wise DP-matrix computation (column-major) ----
-        # The backend produces the bottom-row ΔH stream plus, for
-        # traceback, the M[i][j] = (ΔV_out, ΔH_out) register images (pure)
-        # or every text column's Δ masks (bitpar).
+        # The backend produces the corner D[n][m], the bottom-row ΔH stream
+        # when the free-end modes need it, and, for traceback, the
+        # M[i][j] = (ΔV_out, ΔH_out) register images (pure) or every text
+        # column's Δ masks (bitpar).
         with obs.span(
             "phase.compute",
             kernel="full_gmx",
@@ -265,12 +261,16 @@ class FullGmxAligner(Aligner):
                     top_fill=top_fill,
                     fused=self.fused,
                     traceback=traceback,
-                    boundary_v=boundary_v,
-                    boundary_h=boundary_h,
+                    bottom_row=self.mode is not AlignmentMode.GLOBAL,
                 )
             )
 
-        score, end_column = self._score(len(pattern), outcome.bottom_deltas)
+        if outcome.bottom_deltas is None:  # GLOBAL: the corner
+            score, end_column = outcome.corner, len(text)
+        else:
+            score, end_column = self._best_end(
+                len(pattern), outcome.bottom_deltas
+            )
 
         stats.hot_bytes = edge_bytes * (n_tiles + 1)
         if traceback:
@@ -284,7 +284,7 @@ class FullGmxAligner(Aligner):
             with obs.span("phase.traceback", kernel="full_gmx"):
                 ops, start_column = self._traceback(
                     isa, stats, pattern, text, p_chunks, t_chunks, outcome,
-                    boundary_v, boundary_h, end_column,
+                    top_fill, end_column,
                 )
             alignment = Alignment(
                 pattern=pattern,
@@ -309,20 +309,17 @@ class FullGmxAligner(Aligner):
             text_end=end_column,
         )
 
-    def _score(
-        self, pattern_length: int, bottom_deltas: List[int]
+    @staticmethod
+    def _best_end(
+        pattern_length: int, bottom_deltas: List[int]
     ) -> Tuple[int, int]:
-        """Score and end column from the bottom-row ΔH values.
+        """Score and end column of the free-suffix modes (PREFIX, INFIX).
 
-        ``D[n][j] = n + Σ_{k ≤ j} Δh[n][k]``; GLOBAL reads the corner, the
-        free-suffix modes take the (leftmost) bottom-row minimum — with
-        ``j = 0`` (whole pattern deleted against an empty prefix) included.
+        ``D[n][j] = n + Σ_{k ≤ j} Δh[n][k]``; the score is the (leftmost)
+        bottom-row minimum — with ``j = 0`` (whole pattern deleted against
+        an empty prefix) included.
         """
         value = pattern_length
-        if self.mode is AlignmentMode.GLOBAL:
-            for delta in bottom_deltas:
-                value += delta
-            return value, len(bottom_deltas)
         best = value
         best_column = 0
         for j, delta in enumerate(bottom_deltas, start=1):
@@ -341,8 +338,7 @@ class FullGmxAligner(Aligner):
         p_chunks: List[str],
         t_chunks: List[str],
         outcome: FullMatrixResult,
-        boundary_v: List[int],
-        boundary_h: List[int],
+        top_fill: int,
         end_column: int,
     ) -> Tuple[List[str], int]:
         """Algorithm 2: tile-wise traceback.
@@ -363,6 +359,8 @@ class FullGmxAligner(Aligner):
             )
         else:
             matrix = outcome.matrix
+            boundary_v = boundary_images(p_chunks, 1)
+            boundary_h = boundary_images(t_chunks, top_fill)
 
             def edges(ti: int, tj: int) -> Tuple[int, int]:
                 dv_in = matrix[ti][tj - 1][0] if tj > 0 else boundary_v[ti]

@@ -16,42 +16,55 @@ identical to a serial one:
 
 ``repro sanitize`` drives both (:mod:`~repro.analysis.sanitizer.driver`);
 the batch engines see only :mod:`~repro.analysis.sanitizer.runtime`,
-whose disarmed cost is bounded <5% by ``benchmarks/test_sanitizer_overhead``.
+whose disarmed cost is bounded <5% by ``benchmarks/test_sanitizer_overhead``;
+every other name here loads its submodule on first access.
 """
 
-from .driver import SanitizeReport, run_sanitize
-from .guards import SanitizerSession, sanitize
-from .reachability import ScanConfig, ScanReport, scan_package, scan_tree
-from .runtime import SanitizerError, armed, batch_begin, batch_end
-from .sancorpus import ViolationCase, violation_corpus
-from .shadow import (
-    ShadowMismatch,
-    ShadowReport,
-    result_digest,
-    results_digest,
-    shadow_execute,
-    shrink_shard,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "SanitizeReport",
-    "SanitizerError",
-    "SanitizerSession",
-    "ScanConfig",
-    "ScanReport",
-    "ShadowMismatch",
-    "ShadowReport",
-    "ViolationCase",
-    "armed",
-    "batch_begin",
-    "batch_end",
-    "result_digest",
-    "results_digest",
-    "run_sanitize",
-    "sanitize",
-    "scan_package",
-    "scan_tree",
-    "shadow_execute",
-    "shrink_shard",
-    "violation_corpus",
-]
+from ...common.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    # For type checkers and linters only; ``Name as Name`` marks each one a
+    # re-export.  At run time ``__getattr__`` resolves them from the map.
+    from .driver import SanitizeReport as SanitizeReport, run_sanitize as run_sanitize
+    from .guards import SanitizerSession as SanitizerSession, sanitize as sanitize
+    from .reachability import (
+        ScanConfig as ScanConfig,
+        ScanReport as ScanReport,
+        scan_package as scan_package,
+        scan_tree as scan_tree,
+    )
+    from .runtime import (
+        SanitizerError as SanitizerError,
+        armed as armed,
+        batch_begin as batch_begin,
+        batch_end as batch_end,
+    )
+    from .sancorpus import (
+        ViolationCase as ViolationCase,
+        violation_corpus as violation_corpus,
+    )
+    from .shadow import (
+        ShadowMismatch as ShadowMismatch,
+        ShadowReport as ShadowReport,
+        result_digest as result_digest,
+        results_digest as results_digest,
+        shadow_execute as shadow_execute,
+        shrink_shard as shrink_shard,
+    )
+
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "driver": "SanitizeReport run_sanitize",
+        "guards": "SanitizerSession sanitize",
+        "reachability": "ScanConfig ScanReport scan_package scan_tree",
+        "runtime": "SanitizerError armed batch_begin batch_end",
+        "sancorpus": "ViolationCase violation_corpus",
+        "shadow": (
+            "ShadowMismatch ShadowReport result_digest results_digest "
+            "shadow_execute shrink_shard"
+        ),
+    },
+)

@@ -4,7 +4,8 @@ Implements global alignment under gap-affine penalties (match / mismatch /
 gap-open / gap-extend, minimisation form) three ways:
 
 * :func:`affine_score` — exact score via NumPy-vectorised antidiagonals
-  (O(nm) cells, three matrices, no traceback storage);
+  (O(nm) cells, three matrices, no traceback storage; NumPy is imported
+  only when one of these scores is computed);
 * :func:`affine_score_banded` — the banded heuristic (KSW2's ``-w`` band in
   Minimap2), optionally with a Z-drop early exit; may miss the optimum;
 * :class:`AffineAligner` — full Gotoh with traceback (pure Python; used for
@@ -18,9 +19,7 @@ edit-distance alignments deviate from the optimum under such a model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from ..align.base import Aligner, AlignmentResult, KernelStats
 from ..core.cigar import (
@@ -31,6 +30,9 @@ from ..core.cigar import (
     OP_MISMATCH,
     edit_cost,
 )
+
+if TYPE_CHECKING:
+    import numpy
 
 #: Sentinel for unreachable DP states (safe against int32 overflow).
 INF = 1 << 28
@@ -67,8 +69,10 @@ class AffinePenalties:
                 return cost
         return self.match if a == b else self.mismatch
 
-    def substitution_table(self) -> np.ndarray:
+    def substitution_table(self) -> numpy.ndarray:
         """128×128 cost lookup over byte codes (for vectorised kernels)."""
+        import numpy as np
+
         table = np.full((128, 128), self.mismatch, dtype=np.int64)
         np.fill_diagonal(table, self.match)
         if self.matrix is not None:
@@ -106,7 +110,9 @@ def transition_transversion_matrix(
     return matrix
 
 
-def _codes(sequence: str) -> np.ndarray:
+def _codes(sequence: str) -> numpy.ndarray:
+    import numpy as np
+
     return np.frombuffer(sequence.encode("latin-1"), dtype=np.uint8)
 
 
@@ -121,6 +127,8 @@ def _antidiagonal_pass(
 
     Returns INF when a band/Z-drop heuristic cut the corner off.
     """
+    import numpy as np
+
     n = len(pattern)
     m = len(text)
     p_codes = _codes(pattern)

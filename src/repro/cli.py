@@ -537,7 +537,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stream_align.add_argument(
         "--checkpoint", metavar="FILE", default=None,
-        help="journal chunk shards to FILE and resume from it (resilient)",
+        help="journal chunk shards to FILE and resume from it "
+        "(resilient engine only)",
     )
     stream_align.add_argument(
         "--verify-windows", type=int, default=0, metavar="N",

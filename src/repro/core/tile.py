@@ -150,6 +150,13 @@ def compute_tile_interior(
     )
 
 
+#: Patterns longer than this build Peq with ``str.translate``; shorter ones
+#: with one OR per base, which is faster there (per pattern, ACGT: 0.9
+#: against 2.6 µs at 8 bases, equal near 32, 6.4 against 4.1 µs at 64 and
+#: 1.7 ms against 0.18 ms at 10 kbp).
+TRANSLATE_PEQ_MIN_LENGTH = 33
+
+
 def build_peq(pattern: str) -> Dict[str, int]:
     """Build per-character equality bitmasks for a pattern chunk.
 
@@ -157,10 +164,24 @@ def build_peq(pattern: str) -> Dict[str, int]:
     compares characters directly (no tables); the bit-parallel software
     kernel builds this tiny map per pattern chunk purely as a speed device,
     and it is reused across every tile in the same tile-row.
+
+    A long pattern takes one C-level pass per distinct character instead
+    of one big-int OR per base: ``str.translate`` writes the reversed
+    pattern as ``1`` where it holds that character and ``0`` elsewhere,
+    and ``int(…, 2)`` reads that string as the mask.
     """
     peq: Dict[str, int] = {}
-    for i, char in enumerate(pattern):
-        peq[char] = peq.get(char, 0) | (1 << i)
+    if len(pattern) < TRANSLATE_PEQ_MIN_LENGTH:
+        for i, char in enumerate(pattern):
+            peq[char] = peq.get(char, 0) | (1 << i)
+        return peq
+    chars = sorted(set(pattern))
+    table = dict.fromkeys(map(ord, chars), "0")
+    reversed_pattern = pattern[::-1]
+    for char in chars:
+        table[ord(char)] = "1"
+        peq[char] = int(reversed_pattern.translate(table), 2)
+        table[ord(char)] = "0"
     return peq
 
 

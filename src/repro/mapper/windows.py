@@ -11,11 +11,13 @@ vote's diagonal predicts which query span the chunk aligns to, so the
 expensive aligner only ever sees O(chunk)-sized problems.
 
 Sampling the streamed side is what makes the scan cheap: the filter
-pays one slice-and-lookup per ``stride`` reference bases instead of one
-per base.  Probes sit on the *absolute* reference grid (positions that
+pays one k-byte key per ``stride`` reference bases instead of one per
+base.  Probes sit on the *absolute* reference grid (positions that
 are multiples of ``stride``), so the probe set does not depend on chunk
 geometry, and any exact shared run of ``stride + k - 1`` bases
-contains a probe.
+contains a probe.  A window's keys are cut by ``struct`` and looked up
+by ``map``, so a window without a hit, which is nearly every window of
+a scan, takes no interpreter step per probe: one ``list.count`` tells.
 
 This is the seed-location-filtering pre-pass of the compute-in-SRAM
 papers applied at chunk granularity: cheap exact-match voting gates the
@@ -25,9 +27,11 @@ expensive DP, and chunks with no query support are skipped entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from struct import unpack_from
 from typing import Dict, Iterator, List, Optional, Tuple
 
-DNA_ALPHABET = frozenset("ACGT")
+#: Bytes of the bases a k-mer may hold to be indexed.
+DNA_ALPHABET = frozenset(b"ACGT")
 
 #: Default k-mer length of :class:`QuerySketch`.
 DEFAULT_K = 16
@@ -82,10 +86,13 @@ class QuerySketch:
         self.k = k
         self.stride = stride
         self.max_occurrences = max_occurrences
-        offsets: Dict[str, List[int]] = {}
+        # Keys are ASCII bytes: a non-ASCII base encodes as "?", which is
+        # not in the alphabet, so it is never indexed and never hits.
+        data = query.encode("ascii", "replace")
+        offsets: Dict[bytes, List[int]] = {}
         dropped = set()
-        for position in range(len(query) - k + 1):
-            kmer = query[position:position + k]
+        for position in range(len(data) - k + 1):
+            kmer = data[position:position + k]
             if not DNA_ALPHABET.issuperset(kmer):
                 continue
             if kmer in dropped:
@@ -102,7 +109,7 @@ class QuerySketch:
 
     def lookup(self, kmer: str) -> Tuple[int, ...]:
         """Query offsets at which ``kmer`` was indexed (possibly empty)."""
-        return tuple(self._offsets.get(kmer, ()))
+        return tuple(self._offsets.get(kmer.encode("ascii", "replace"), ()))
 
     def hits(self, chunk: str, chunk_start: int) -> Iterator[Tuple[int, int]]:
         """``(reference, query)`` positions of every probe hit in the chunk.
@@ -110,15 +117,30 @@ class QuerySketch:
         Probes are the chunk positions whose absolute reference
         coordinate is a multiple of ``stride``, so a window yields
         exactly the hits of any split of it into pieces that overlap by
-        ``k - 1`` bases.
+        ``k - 1`` bases.  Probes less than ``k`` bases apart overlap, so
+        the keys are cut in ``ceil(k / stride)`` interleaved phases, each
+        one ``struct`` unpack of keys at least ``k`` bases apart.
         """
         k = self.k
         stride = self.stride
-        offsets = self._offsets
-        for index in range((-chunk_start) % stride, len(chunk) - k + 1, stride):
-            query_positions = offsets.get(chunk[index:index + k])
+        first = (-chunk_start) % stride
+        probes = len(range(first, len(chunk) - k + 1, stride))
+        if probes <= 0:
+            return
+        data = chunk.encode("ascii", "replace")
+        phases = -(-k // stride)
+        gap = phases * stride - k
+        keys = [b""] * probes  # every slot is cut by exactly one phase
+        for phase in range(min(phases, probes)):
+            count = len(range(phase, probes, phases))
+            layout = f"{k}s" + f"{gap}x{k}s" * (count - 1)
+            keys[phase::phases] = unpack_from(layout, data, first + phase * stride)
+        found = list(map(self._offsets.get, keys))
+        if found.count(None) == probes:
+            return
+        for probe, query_positions in enumerate(found):
             if query_positions:
-                reference_position = chunk_start + index
+                reference_position = chunk_start + first + probe * stride
                 for query_position in query_positions:
                     yield reference_position, query_position
 

@@ -342,8 +342,9 @@ def stream_align(
             passed here.
         engine: one of :data:`ENGINES`.
         workers: worker processes of the pool/resilient engines.
-        checkpoint: journal path (resilient engine); the journal header
-            carries the chunk geometry and query fingerprint, so
+        checkpoint: journal path, resilient engine only (the other
+            engines keep no journal, so they reject it); the journal
+            header carries the chunk geometry and query fingerprint, so
             resuming under different stream parameters is rejected.
 
     The stitched alignment is replay-validated before it is returned.
@@ -351,11 +352,17 @@ def stream_align(
     Raises:
         StreamError: empty inputs, no candidate windows, or a stitch
             contract violation.
-        ValueError: invalid geometry or engine selection.
+        ValueError: invalid geometry or engine selection, or a
+            ``checkpoint`` off the resilient engine.
     """
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
+        )
+    if checkpoint is not None and engine != "resilient":
+        raise ValueError(
+            f"checkpoint needs the resilient engine; engine {engine!r} "
+            "keeps no journal"
         )
     if not query:
         raise StreamError("query must be non-empty")

@@ -30,6 +30,7 @@ from repro.align import (
 )
 from repro.align.backends import backend_names
 from repro.core.isa import GmxIsa
+from repro.core.tile import TRANSLATE_PEQ_MIN_LENGTH, build_peq
 
 TILE = 8
 SEED = 0xD1FF
@@ -190,6 +191,109 @@ class TestFullGmx:
                 lambda b, t=tile: FullGmxAligner(tile_size=t, backend=b),
                 random_pairs(15, max_length=4 * tile, seed=SEED + tile),
             )
+
+
+#: Characters the engines must compare by identity alone: ``N``, lower
+#: case and non-ASCII (a Peq mask per distinct character, any code point).
+ODD_CHARS = "Nnacgté中"
+
+
+def odd_pairs(tile, seed):
+    """Seeded pairs of lengths 1–300 (at most 30 tiles a side) for ``tile``.
+
+    Lengths land on and around tile multiples, so last tiles are full and
+    partial; texts run both shorter and longer than their patterns; and
+    both sides carry :data:`ODD_CHARS` as well as ``ACGT``.
+    """
+    rng = random.Random(seed)
+    top = min(300, 30 * tile)
+    lengths = [1, tile - 1, tile, tile + 1, 2 * tile + 1, top]
+    lengths += [rng.randint(1, top) for _ in range(4)]
+    pairs = []
+    for n in lengths:
+        pattern = "".join(
+            rng.choice(ODD_CHARS) if rng.random() < 0.1 else rng.choice(ALPHABET)
+            for _ in range(n)
+        )
+        text = list(pattern)
+        for _ in range(rng.randint(0, max(1, n // 4))):
+            pos = rng.randrange(len(text) + 1)
+            kind = rng.choice("mid")
+            if kind == "m" and text:
+                text[pos % len(text)] = rng.choice(ALPHABET + ODD_CHARS)
+            elif kind == "i":
+                text.insert(pos, rng.choice(ALPHABET + ODD_CHARS))
+            elif len(text) > 1:
+                del text[pos % len(text)]
+        text = "".join(text)
+        cut = rng.randint(1, len(text))
+        pairs.append((pattern, text))
+        pairs.append((pattern, text[:cut]))  # text shorter than the pattern
+        pairs.append((pattern, text + text[: rng.randint(1, 2 * tile)]))
+    return pairs
+
+
+def full_signature(backend, pattern, text, *, tile, mode, fused, traceback):
+    """Score, CIGAR, span, ordered stats and ordered ISA retired counts."""
+    aligner = FullGmxAligner(
+        tile_size=tile, mode=mode, fused=fused, backend=backend
+    )
+    isas = []
+    fresh_isa = aligner._fresh_isa
+
+    def recording_isa():
+        isa = fresh_isa()
+        isas.append(isa)
+        return isa
+
+    aligner._fresh_isa = recording_isa
+    result = aligner.align(pattern, text, traceback=traceback)
+    (isa,) = isas
+    return (
+        result.score,
+        result.cigar,
+        result.text_start,
+        result.text_end,
+        list(result.stats.instructions.items()),
+        result.stats,
+        list(isa.retired.items()),
+    )
+
+
+class TestInlinedFullLoop:
+    """``bitpar``'s inlined Full fill against ``pure``, field by field."""
+
+    @pytest.mark.parametrize("tile", (2, 3, 8, 32))
+    @pytest.mark.parametrize("traceback", (True, False), ids=("tb", "dist"))
+    @pytest.mark.parametrize("fused", (False, True), ids=("plain", "fused"))
+    @pytest.mark.parametrize("mode", TestFullGmx.MODES, ids=lambda m: m.name)
+    def test_matches_pure(self, mode, fused, traceback, tile):
+        options = dict(tile=tile, mode=mode, fused=fused, traceback=traceback)
+        for pattern, text in odd_pairs(tile, SEED + tile):
+            expected = full_signature(REFERENCE, pattern, text, **options)
+            for backend in CHALLENGERS:
+                got = full_signature(backend, pattern, text, **options)
+                assert got == expected, (
+                    f"{backend} diverged from {REFERENCE} on "
+                    f"{pattern!r} / {text!r}: {got[:4]} != {expected[:4]}"
+                )
+
+    def test_build_peq_equals_one_or_per_base(self):
+        def oracle(pattern):
+            peq = {}
+            for i, char in enumerate(pattern):
+                peq[char] = peq.get(char, 0) | (1 << i)
+            return peq
+
+        rng = random.Random(SEED)
+        edge = TRANSLATE_PEQ_MIN_LENGTH
+        lengths = [0, 1, edge - 1, edge, edge + 1]
+        lengths += [rng.randint(1, 300) for _ in range(2000)]
+        for length in lengths:
+            pattern = "".join(
+                rng.choice(ALPHABET + ODD_CHARS) for _ in range(length)
+            )
+            assert build_peq(pattern) == oracle(pattern), pattern
 
 
 class TestBandedGmx:

@@ -103,6 +103,62 @@ class TestProbeGrid:
             assert all(r - q == chunk_start for r, q in hits)
 
 
+def plain_hits(query, chunk, chunk_start, *, k, stride, max_occurrences):
+    """The sketch's hits by the plain per-probe loop: slice, look up, yield."""
+    offsets = {}
+    dropped = set()
+    for position in range(len(query) - k + 1):
+        kmer = query[position:position + k]
+        if not set(kmer) <= set("ACGT") or kmer in dropped:
+            continue
+        offsets.setdefault(kmer, []).append(position)
+        if len(offsets[kmer]) > max_occurrences:
+            del offsets[kmer]
+            dropped.add(kmer)
+    hits = []
+    for index in range((-chunk_start) % stride, len(chunk) - k + 1, stride):
+        for query_position in offsets.get(chunk[index:index + k], ()):
+            hits.append((chunk_start + index, query_position))
+    return hits
+
+
+class TestProbeOracle:
+    def test_struct_probe_matches_the_plain_loop(self):
+        # k 4/8/16 against every stride 1-16, so strides below, at and
+        # above k, dividing it or not; N, lower case and non-ASCII bases
+        # on both sides; small repeat caps as well as the default.
+        rng = random.Random(0x55)
+        odd = "NNacgté"
+        for case in range(2000):
+            k = rng.choice((4, 8, 16))
+            stride = rng.randint(1, 16)
+            cap = rng.choice((1, 3, 512))
+            query = "".join(
+                rng.choice(odd) if rng.random() < 0.05 else rng.choice("ACGT")
+                for _ in range(rng.randint(0, 300))
+            )
+            lo = rng.randint(0, len(query))
+            hi = rng.randint(lo, len(query))
+            chunk = random_dna(rng.randint(0, 40), rng)
+            chunk += mutate_dna(query[lo:hi], rng.randint(0, 4), rng)
+            chunk += "".join(rng.choice("ACGT" + odd) for _ in range(20))
+            chunk_start = rng.randint(0, 1_000_000)
+            sketch = QuerySketch(query, k=k, stride=stride, max_occurrences=cap)
+            expected = plain_hits(
+                query, chunk, chunk_start, k=k, stride=stride,
+                max_occurrences=cap,
+            )
+            assert list(sketch.hits(chunk, chunk_start)) == expected, case
+
+    def test_non_ascii_bases_never_hit_or_raise(self):
+        query = "ACGTACGTACGTACGTAé"
+        sketch = QuerySketch(query, k=4, stride=1)
+        assert sketch.lookup("ACGT") == (0, 4, 8, 12)
+        assert sketch.lookup("GTAé") == ()
+        assert list(sketch.hits("éééé", 0)) == []
+        assert [r for r, _ in sketch.hits("TAéACGT", 0)] == [3] * 4
+
+
 class TestIndex:
     def test_every_query_kmer_is_indexed(self):
         rng = random.Random(0x53)

@@ -131,6 +131,29 @@ class TestEngines:
                 checkpoint=journal,
             )
 
+    @pytest.mark.parametrize("engine", ("serial", "pool"))
+    def test_checkpoint_off_the_resilient_engine_rejected(
+        self, case, engine, tmp_path
+    ):
+        journal = tmp_path / "stream.journal"
+
+        def unread_reference():
+            raise AssertionError("the reference was scanned")
+            yield
+
+        with pytest.raises(
+            ValueError, match=f"engine '{engine}' keeps no journal"
+        ):
+            stream_align(
+                unread_reference(),
+                case.query,
+                config=CONFIG,
+                engine=engine,
+                workers=2,
+                checkpoint=str(journal),
+            )
+        assert not journal.exists()
+
     def test_unknown_engine_rejected(self, case):
         with pytest.raises(ValueError, match="unknown engine"):
             stream_align(case.reference, case.query, engine="quantum")

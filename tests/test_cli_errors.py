@@ -122,6 +122,24 @@ class TestBadFlags:
         [line] = [line for line in err.splitlines() if "error:" in line]
         assert "--verify-windows must be >= 0, got -3" in line
 
+    @pytest.mark.parametrize("engine", ["serial", "pool"])
+    def test_checkpoint_off_the_resilient_engine_rejected_before_the_scan(
+        self, engine, capsys, tmp_path
+    ):
+        journal = tmp_path / "ck.journal"
+        code, out, err = run(
+            ["stream", "align", "ACGT" * 100, "ACGT" * 10,
+             "--engine", engine, "--workers", "2",
+             "--checkpoint", str(journal)],
+            capsys,
+        )
+        assert code == 2
+        assert not out
+        assert "Traceback" not in err
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        assert f"checkpoint needs the resilient engine; engine '{engine}'" in line
+        assert not journal.exists()
+
     def test_verify_windows_with_nothing_to_cut(self, capsys):
         # A 150 bp query maps, but its anchors sit too close together
         # for any 128-base window: "0/0 windows" must not read as a pass.
