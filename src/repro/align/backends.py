@@ -49,7 +49,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.bitvec import mask, pack_plus_minus, popcount, unpack_deltas
 from ..core.isa import GmxIsa
-from ..core.tile import advance_column, build_peq
+from ..core.tile import build_peq
 from .base import KernelStats
 
 __all__ = [
@@ -184,15 +184,17 @@ class BandedMatrixResult:
     """Outputs of a Banded(GMX) band pass.
 
     Attributes:
-        bottoms: per tile column, the packed ΔH image of the lowest
-            in-band tile's bottom edge (the band-bottom score stream).
+        score: ``D`` at the lowest in-band row of the last text column:
+            the last row of the first column's band, plus one per row the
+            band bottom moves down (the +1 fill below the band), plus
+            every column's band-bottom ΔH.
         matrix: in-band tile edge images keyed by (tile_row, tile_col)
             (``pure``, when traceback was requested).
         columns: every text column's Δ masks over its band segment
             (``bitpar``, when traceback was requested).
     """
 
-    bottoms: List[int]
+    score: int
     matrix: Optional[Dict[Tuple[int, int], Tuple[int, int]]] = None
     columns: Optional[ColumnMasks] = None
 
@@ -312,6 +314,7 @@ class PureTileBackend(KernelBackend):
         boundary_v = boundary_images(request.p_chunks, 1)
         boundary_h = boundary_images(request.t_chunks, 1)
         dv_prev: Dict[int, int] = {}
+        hi = 0
         for tj, text_chunk in enumerate(request.t_chunks):
             lo = max(0, tj - bt)
             hi = min(n_tiles - 1, tj + bt)
@@ -342,7 +345,12 @@ class PureTileBackend(KernelBackend):
             dv_prev = dv_cur
             bottoms.append(dh_down)
             stats.add_instr("int_alu", 3)
-        return BandedMatrixResult(bottoms=bottoms, matrix=matrix)
+        # Decoded after the pass, so a corrupt image raises once every
+        # tile has retired.
+        score = min((hi + 1) * request.tile_size, len(request.pattern))
+        for image, text_chunk in zip(bottoms, request.t_chunks):
+            score += sum(unpack_deltas(image, len(text_chunk)))
+        return BandedMatrixResult(score=score, matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +364,8 @@ class BitparTileBackend(KernelBackend):
     One Myers column step advances every tile row at once: the (Pv, Mv)
     pair spans the entire pattern as one big integer, so each text
     character costs O(1) big-int operations instead of one Python-level
-    tile loop per tile row.  Full inlines the step; Banded calls
-    :func:`~repro.core.tile.advance_column` on each column's band segment.
+    tile loop per tile row.  Both fills inline the step (Banded on each
+    column's band segment), so a text column costs no call and no tuple.
     For traceback the fill keeps every text column's Δ masks
     (:class:`ColumnMasks`), which the aligners walk directly;
     retired-instruction and stats accounting reproduces the ``pure``
@@ -454,12 +462,21 @@ class BitparTileBackend(KernelBackend):
     # -- banded matrix ------------------------------------------------------
 
     def banded_matrix(self, request: BandedMatrixRequest) -> BandedMatrixResult:
+        """Full's inlined Myers column step, on each column's band segment.
+
+        Per tile column, ``pv``/``mv`` are cut to the band segment (from
+        the first row of tile row ``lo`` to the last row of tile row
+        ``hi``), and the segment's Eq is built once per distinct character
+        of the text chunk.  Each text character then costs the step of
+        :meth:`full_matrix` on ``span`` rows with the top ΔH fixed at +1
+        (the matrix boundary and the band's +1 fill agree), and the
+        band-bottom ΔH goes straight into the score.
+        """
         tile = request.tile_size
-        pattern = request.pattern
-        n = len(pattern)
+        n = len(request.pattern)
         n_tiles = len(request.p_chunks)
         bt = request.tile_band
-        peq = build_peq(pattern)
+        peq = build_peq(request.pattern)
         # The +1 boundary and the +1 band fill coincide, and the band
         # interval of each tile row is contiguous, so initialising every
         # row to ΔV = +1 covers both the tj == 0 boundary and every later
@@ -471,60 +488,75 @@ class BitparTileBackend(KernelBackend):
         offsets: List[int] = []
         dv_plus: List[int] = []
         dh_plus: List[int] = []
-        bottoms: List[int] = []
+        bottom_sum = 0
+        band_tiles = 0
+        cells = 0
+        hi_end = 0
         for tj, text_chunk in enumerate(request.t_chunks):
             lo = max(0, tj - bt)
             hi = min(n_tiles - 1, tj + bt)
             lo_base = lo * tile
             hi_end = min((hi + 1) * tile, n)
             span = hi_end - lo_base
-            span_mask = mask(span)
-            seg_pv = (pv >> lo_base) & span_mask
-            seg_mv = (mv >> lo_base) & span_mask
-            bottom_image = 0
-            for c, text_char in enumerate(text_chunk):
-                peq_char = (peq.get(text_char, 0) >> lo_base) & span_mask
-                # The band-top ΔH fill (boundary or +1 fill) is always +1.
-                seg_pv, seg_mv, h_out, ph, _ = advance_column(
-                    peq_char, seg_pv, seg_mv, 1, span
-                )
-                if h_out > 0:
-                    bottom_image |= 1 << (2 * c)
-                elif h_out < 0:
-                    bottom_image |= 1 << (2 * c + 1)
+            rows = mask(span)
+            last = span - 1
+            seg_eq = {
+                char: (peq.get(char, 0) >> lo_base) & rows
+                for char in set(text_chunk)
+            }
+            seg_pv = (pv >> lo_base) & rows
+            seg_mv = (mv >> lo_base) & rows
+            for text_char in text_chunk:
+                eq = seg_eq[text_char]
+                xv = eq | seg_mv
+                xh = (((eq & seg_pv) + seg_pv) ^ seg_pv) | eq
+                ph = (((xh | seg_pv) & rows) ^ rows) | seg_mv
+                mh = seg_pv & xh
+                bottom_sum += (ph >> last) - (mh >> last)
+                ph_in = ((ph << 1) & rows) | 1
+                seg_pv = ((mh << 1) & rows) | ((xv | ph_in) ^ rows)
+                seg_mv = ph_in & xv
                 if keep_columns:
                     dv_plus.append(seg_pv)
                     dh_plus.append(ph)
             if keep_columns:
                 offsets.extend([lo_base] * len(text_chunk))
-            keep = ~(span_mask << lo_base)
+            keep = ~(rows << lo_base)
             pv = (pv & keep) | (seg_pv << lo_base)
             mv = (mv & keep) | (seg_mv << lo_base)
-            bottoms.append(bottom_image)
-            self._account_banded_column(request, span, hi - lo + 1, len(text_chunk))
+            band_tiles += hi - lo + 1
+            cells += span * len(text_chunk)
+        self._charge_banded(request, band_tiles, cells)
         columns = None
         if keep_columns:
             columns = ColumnMasks(offsets, dv_plus, dh_plus)
-        return BandedMatrixResult(bottoms=bottoms, columns=columns)
+        return BandedMatrixResult(score=hi_end + bottom_sum, columns=columns)
 
-    def _account_banded_column(
-        self, request: BandedMatrixRequest, rows: int, tiles: int, cols: int
+    def _charge_banded(
+        self, request: BandedMatrixRequest, tiles: int, cells: int
     ) -> None:
-        """Retire one band column's worth of the ``pure`` instruction recipe."""
+        """Retire the ``pure`` instruction recipe of a whole band pass.
+
+        Per tile column: 1 ``csrw``, 6 int ops and 1 branch; per in-band
+        tile: 1 ``csrw``, ``gmx.v`` and ``gmx.h``, 5 int ops, 1 branch,
+        2 loads and, for traceback, 2 stores — charged in ``pure``'s
+        order (stores before loads).
+        """
         isa = request.isa
         stats = request.stats
         edge_bytes = _edge_bytes(request.tile_size)
-        isa.retired["csrw"] += tiles + 1
+        m_tiles = len(request.t_chunks)
+        isa.retired["csrw"] += tiles + m_tiles
         isa.retired["gmx.v"] += tiles
         isa.retired["gmx.h"] += tiles
-        stats.add_instr("int_alu", 5 * tiles + 6)
-        stats.add_instr("branch", tiles + 1)
-        stats.add_instr("load", 2 * tiles)
-        stats.dp_bytes_read += 2 * edge_bytes * tiles
+        stats.add_instr("int_alu", 5 * tiles + 6 * m_tiles)
+        stats.add_instr("branch", tiles + m_tiles)
         if request.traceback:
             stats.add_instr("store", 2 * tiles)
             stats.dp_bytes_written += 2 * edge_bytes * tiles
-        stats.dp_cells += rows * cols
+        stats.add_instr("load", 2 * tiles)
+        stats.dp_bytes_read += 2 * edge_bytes * tiles
+        stats.dp_cells += cells
         stats.tiles += tiles
 
 

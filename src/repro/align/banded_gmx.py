@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..core.bitvec import unpack_deltas
 from ..core.cigar import (
     Alignment,
     OP_DELETION,
@@ -137,13 +136,6 @@ class BandedGmxAligner(Aligner):
         t_chunks = _chunks(text, tile)
         n_tiles = len(p_chunks)
         bt = self._tile_band(band)
-
-        def rows_through(tile_row: int) -> int:
-            """Number of pattern rows covered by tile rows 0..tile_row."""
-            if tile_row < 0:
-                return 0
-            return min((tile_row + 1) * tile, len(pattern))
-
         outcome = backend.banded_matrix(
             BandedMatrixRequest(
                 isa=isa,
@@ -156,17 +148,7 @@ class BandedGmxAligner(Aligner):
                 traceback=traceback,
             )
         )
-
-        # Running D value at (bottom in-band row, right edge of the column):
-        # walk the band bottom down the +1 fill, then along each column's
-        # band-bottom ΔH image.
-        prev_bottom = min(n_tiles - 1, bt - 1)
-        score = rows_through(prev_bottom)
-        for tj, text_chunk in enumerate(t_chunks):
-            hi = min(n_tiles - 1, tj + bt)
-            score += rows_through(hi) - rows_through(prev_bottom)
-            prev_bottom = hi
-            score += sum(unpack_deltas(outcome.bottoms[tj], len(text_chunk)))
+        score = outcome.score
 
         stats.hot_bytes = max(stats.hot_bytes or 0, edge_bytes * (2 * bt + 2))
         if traceback:

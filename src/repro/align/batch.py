@@ -18,11 +18,12 @@ Example::
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, List, Optional
+from typing import ContextManager, Deque, Iterable, List, Optional
 
 from ..analysis.sanitizer import runtime as dsan
 from ..obs import runtime as obs
@@ -37,6 +38,7 @@ from .parallel import (
     _align_shard,
     _pickling_failure,
     iter_shards,
+    shared_pool,
 )
 
 #: Shards kept in flight per pool worker: one running and one queued, so
@@ -156,13 +158,27 @@ def align_batch(
         shard_size: pairs per shard (default ``DEFAULT_SHARD_SIZE``).
         pool: an existing warm :class:`~repro.align.parallel.WorkerPool`
             to run on — the batch skips pool spin-up and leaves the pool
-            open for the next caller.  ``None`` creates an ephemeral pool
-            for this batch and closes it afterwards.
+            open for the next caller.  ``None`` with ``workers > 1`` runs
+            on this process's warm pool of that many workers
+            (:func:`~repro.align.parallel.shared_pool`): the first such
+            batch starts it, later ones reuse it, and it closes at exit.
 
     Raises:
         WorkerLost: a pool worker died before its shard replied.  The
             pool has rebuilt itself, so a borrowed pool stays usable; for
             retries use :func:`repro.resilience.align_batch_resilient`.
+            A batch on the shared pool that raises (this, an aligner
+            error, a broken input stream, ``KeyboardInterrupt``) closes
+            that pool once no other batch runs on it, so it leaves no
+            worker behind; the next batch starts a fresh pool.
+
+    The aligner and the pairs travel with every shard, so results never
+    depend on when the shared pool forked.  Module state changed in this
+    process after the pool started is not seen by its workers: a
+    monkeypatched method or global switch keeps its old value there, and
+    an aligner class defined in ``__main__`` after the first pooled batch
+    cannot be unpickled there (its worker dies and the batch raises
+    :class:`WorkerLost`; the next batch starts a fresh pool).
 
     The returned :class:`BatchResult` always carries a
     :attr:`~BatchResult.telemetry` record with the measured wall time.
@@ -184,24 +200,30 @@ def align_batch(
         or pickling_failure is not None
         or (pool is not None and (pool.closed or not pool.process_mode))
     )
-    if inline or pool is None:
-        runner = WorkerPool(1 if inline else workers)
+    scope: ContextManager[WorkerPool]
+    if inline:
+        scope = contextlib.nullcontext(WorkerPool(1))
+    elif pool is None:
+        scope = shared_pool(workers)
     else:
-        runner = pool
+        scope = contextlib.nullcontext(pool)
     batch = BatchResult()
-    telemetry = BatchTelemetry(
-        workers=workers,
-        shard_size=shard_size,
-        executor=runner.method or ("inline" if workers > 1 else "serial"),
-        fallback_reason=pickling_failure,
-        backend=getattr(getattr(aligner, "backend", None), "name", None),
-    )
-    want_obs = runner.process_mode and obs.enabled()
-    window = SHARDS_IN_FLIGHT_PER_WORKER * runner.workers
     in_flight: Deque = deque()
     token = dsan.batch_begin()
     try:
-        with obs.span("batch.align", workers=workers):
+        with obs.span("batch.align", workers=workers), scope as runner:
+            telemetry = BatchTelemetry(
+                workers=workers,
+                shard_size=shard_size,
+                executor=runner.method
+                or ("inline" if workers > 1 else "serial"),
+                fallback_reason=pickling_failure,
+                backend=getattr(
+                    getattr(aligner, "backend", None), "name", None
+                ),
+            )
+            want_obs = runner.process_mode and obs.enabled()
+            window = SHARDS_IN_FLIGHT_PER_WORKER * runner.workers
             for shard in shards:
                 payload = (aligner, shard, traceback, validate, want_obs)
                 in_flight.append(runner.submit(_align_shard, payload))
@@ -210,8 +232,6 @@ def align_batch(
             while in_flight:
                 _merge_shard(batch, telemetry, runner, in_flight.popleft())
     finally:
-        if runner is not pool:
-            runner.close()
         dsan.batch_end(token, "align_batch")
     obs.inc("batch.runs")
     obs.inc("batch.pairs", batch.pairs)

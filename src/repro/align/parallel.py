@@ -30,6 +30,30 @@ for plain batches and every other caller alike.  A plain batch fails fast
 with :class:`WorkerLost`; the supervised engine
 (:func:`repro.resilience.align_batch_resilient`) retries the shard.
 
+A plain batch with ``workers=N > 1`` and no pool of its own runs on this
+process's warm pool of ``N`` workers (:func:`shared_pool`), so only the
+first such batch pays for forking, starting and closing workers:
+
+* **Start and reuse** — the pool starts on the first batch that needs it
+  and stays warm for the next batch of the same worker count; each worker
+  count has its own pool.
+* **Owner** — the table is keyed by the pid that started each pool: a
+  forked child never uses or closes its parent's pools, it starts its own.
+* **Exit** — an ``atexit`` hook, registered when the first pool is built
+  (so it runs before multiprocessing's own exit handler), closes every
+  shared pool of the exiting process: no worker outlives it.
+* **A batch that raises** (a lost worker, an aligner error, a broken
+  input stream, ``KeyboardInterrupt``) retires its pool: the pool closes
+  at once, or as soon as the other batches running on it finish, and the
+  next batch starts a fresh one.
+* **Concurrency** — one lock guards the table; threads running batches
+  of the same worker count share that pool.
+
+Aligner and pairs travel with every shard, so results never depend on
+when the pool forked.  Module state changed in the parent after the pool
+started (a monkeypatched method, a global switch, a class defined in
+``__main__``) is not seen by its workers.
+
 Every run records a :class:`BatchTelemetry`: wall time, per-shard timings,
 worker utilisation, and pairs/second.  These are *measured host* numbers —
 they validate the shape of the paper's Figure-12 scaling claims (see
@@ -39,6 +63,7 @@ modelled cycle counts, which remain the source of all reported figures.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import functools
 import itertools
@@ -47,7 +72,17 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..obs import runtime as obs
 from .base import Aligner, AlignmentResult, KernelStats, ResilienceCounters
@@ -360,6 +395,10 @@ def _pool_worker_init() -> None:
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # A pool forked while the parent was recording outlives that recording:
+    # spans kept in the inherited recorder copy would never reach the
+    # parent, only grow.  Shards that should be traced capture their own.
+    obs.disable()
 
 
 @functools.lru_cache(maxsize=None)
@@ -401,13 +440,18 @@ class WorkerPool:
     """A reusable worker-pool handle: create once, submit many, close once.
 
     Every shard executor in the package runs on this class: the plain
-    batch entry point (:func:`~repro.align.batch.align_batch` creates an
-    ephemeral pool per call, or borrows a caller's warm one), the
-    resilient engine, the alignment service (:mod:`repro.serve` creates
-    one warm pool at startup and reuses it across requests) and the dist
-    node.  The handle wraps a ``multiprocessing.Pool`` when a start method
-    is available and degrades to a deterministic in-process executor
-    otherwise (``workers=1``, or a platform without ``fork``/``spawn``).
+    batch entry point (:func:`~repro.align.batch.align_batch` borrows a
+    caller's pool, or runs on this process's warm pool for its worker
+    count, see :func:`shared_pool`), the resilient engine (one pool per
+    call), the alignment service (:mod:`repro.serve` creates one warm
+    pool at startup and reuses it across requests) and the dist node.
+    Workers start from the parent as it is when the pool starts (or
+    rebuilds): what the parent changes later in its own module state is
+    not seen by them, while the aligner and pairs of every task are
+    pickled afresh.  The handle wraps a ``multiprocessing.Pool`` when a
+    start method is available and degrades to a deterministic in-process
+    executor otherwise (``workers=1``, or a platform without
+    ``fork``/``spawn``).
 
     Lifecycle: :meth:`start` (optional — first submit warms lazily) →
     :meth:`submit` → :meth:`wait` → :meth:`rebuild` after a missed
@@ -584,6 +628,95 @@ class WorkerPool:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+class _SharedPool:
+    """A warm pool in the shared table, and the batches running on it."""
+
+    __slots__ = ("pool", "users")
+
+    def __init__(self, pool: WorkerPool) -> None:
+        self.pool = pool
+        self.users = 0
+
+
+#: This process's warm pools for :func:`shared_pool`, keyed by
+#: (pid that started the pool, worker count).
+_SHARED_POOLS: Dict[Tuple[int, int], _SharedPool] = {}
+_SHARED_LOCK = threading.Lock()
+_EXIT_HOOKED = False
+
+
+def _reset_lock_after_fork() -> None:
+    # A child forked while another thread held the lock would inherit it
+    # held.  The child never touches its parent's entries (other pid).
+    global _SHARED_LOCK
+    _SHARED_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; no fork, no inherited lock
+    os.register_at_fork(after_in_child=_reset_lock_after_fork)
+
+
+@contextlib.contextmanager
+def shared_pool(workers: int) -> Iterator[WorkerPool]:
+    """Run one batch on this process's warm pool of ``workers`` workers.
+
+    The first batch of a worker count starts its pool; later batches of
+    that count reuse it, concurrently too.  A batch that raises retires
+    the pool: it leaves the table, so the next batch starts a fresh one,
+    and closes as soon as no batch runs on it.  The module docstring
+    lists the whole lifecycle.
+    """
+    global _EXIT_HOOKED
+    key = (os.getpid(), workers)
+    with _SHARED_LOCK:
+        entry = _SHARED_POOLS.get(key)
+        if entry is None:
+            entry = _SharedPool(WorkerPool(workers).start())
+            _SHARED_POOLS[key] = entry
+            if not _EXIT_HOOKED:
+                # After the pool is built, so after multiprocessing
+                # registered its own exit handler: ours runs first.
+                atexit.register(close_shared_pools)
+                _EXIT_HOOKED = True
+        entry.users += 1
+    retire = True
+    try:
+        yield entry.pool
+        retire = False
+    finally:
+        with _SHARED_LOCK:
+            entry.users -= 1
+            if retire and _SHARED_POOLS.get(key) is entry:
+                del _SHARED_POOLS[key]
+            idle_and_retired = (
+                entry.users == 0 and _SHARED_POOLS.get(key) is not entry
+            )
+        if idle_and_retired:
+            entry.pool.close()
+
+
+def close_shared_pools() -> None:
+    """Close every shared pool this process started (the exit hook)."""
+    pid = os.getpid()
+    with _SHARED_LOCK:
+        owned = [key for key in _SHARED_POOLS if key[0] == pid]
+        entries = [_SHARED_POOLS.pop(key) for key in owned]
+    for entry in entries:
+        entry.pool.close()
+
+
+def shared_pool_pids() -> FrozenSet[int]:
+    """PIDs of the workers of every shared pool this process started."""
+    pid = os.getpid()
+    with _SHARED_LOCK:
+        pools = [
+            entry.pool for key, entry in _SHARED_POOLS.items() if key[0] == pid
+        ]
+    return frozenset(
+        worker for pool in pools for worker in pool.worker_pids()
+    )
 
 
 def _absorb_obs_buffers(buffers: ObsBuffers) -> None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from ..align.parallel import WorkerPool, _align_shard
+from ..align.parallel import WorkerPool, _align_shard, shared_pool_pids
 from ..common.retry import RetryPolicy
 from ..workloads.generator import generate_pair_set
 from .http import running_server
@@ -342,7 +342,12 @@ def run_serve_bench(
                 workers=workers,
                 method=_cold_start_method(service.pool.method),
             )
-    leaked = len(multiprocessing.active_children())
+    # Workers of this process's shared batch pools (an earlier
+    # ``align_batch(workers=N)``) stay warm on purpose; they are not leaks.
+    shared = shared_pool_pids()
+    leaked = sum(
+        child.pid not in shared for child in multiprocessing.active_children()
+    )
     return ServeBenchReport(
         requests=requests,
         clients=clients,

@@ -343,6 +343,77 @@ class TestBandedGmx:
         )
 
 
+def banded_signature(backend, pattern, text, isas, *, tile, band, auto_widen,
+                     traceback):
+    """Score, CIGAR, exactness and ordered stats (or the error), plus the
+    ordered ISA retired counts of every band pass."""
+    isas.clear()
+    aligner = BandedGmxAligner(
+        band=band, auto_widen=auto_widen, tile_size=tile, backend=backend
+    )
+    try:
+        result = aligner.align(pattern, text, traceback=traceback)
+    except BandExceededError as exc:
+        answer = ("BandExceededError", str(exc))
+    else:
+        answer = (
+            result.score,
+            result.exact,
+            result.cigar,
+            list(result.stats.instructions.items()),
+            result.stats,
+        )
+    return answer, [list(isa.retired.items()) for isa in isas]
+
+
+class TestInlinedBandedLoop:
+    """``bitpar``'s inlined Banded fill against ``pure``, field by field.
+
+    Ordered, because ``resilience/checkpoint.py`` journals the stats'
+    instruction counts in the order they were first charged.
+    """
+
+    #: (band, auto_widen): the default start, a 1-cell start widened pass
+    #: by pass, a tight fixed band that fails on some pairs, a wide one.
+    BANDS = ((None, True), (1, True), (5, False), (64, False))
+
+    @pytest.fixture
+    def isas(self, monkeypatch):
+        """Every band pass's ISA, in pass order."""
+        from repro.align import banded_gmx
+
+        made = []
+
+        def recording_isa(*args, **kwargs):
+            isa = GmxIsa(*args, **kwargs)
+            made.append(isa)
+            return isa
+
+        monkeypatch.setattr(banded_gmx, "GmxIsa", recording_isa)
+        return made
+
+    @pytest.mark.parametrize("tile", (2, 3, 8, 32))
+    @pytest.mark.parametrize("traceback", (True, False), ids=("tb", "dist"))
+    @pytest.mark.parametrize(
+        "band, auto_widen", BANDS, ids=("auto", "widen-1", "fixed-5", "fixed-64")
+    )
+    def test_matches_pure(self, band, auto_widen, traceback, tile, isas):
+        options = dict(
+            tile=tile, band=band, auto_widen=auto_widen, traceback=traceback
+        )
+        pairs = odd_pairs(tile, SEED + 7 * tile) + list(BAND_EXITS)
+        for pattern, text in pairs:
+            expected = banded_signature(
+                REFERENCE, pattern, text, isas, **options
+            )
+            for backend in CHALLENGERS:
+                got = banded_signature(backend, pattern, text, isas, **options)
+                assert got == expected, (
+                    f"{backend} diverged from {REFERENCE} on "
+                    f"{pattern!r} / {text!r}: {got[0][:3]} != {expected[0][:3]}"
+                )
+
+
 class TestDrivers:
     def test_windowed(self):
         assert_identical(

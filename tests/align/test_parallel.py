@@ -9,7 +9,11 @@ import contextlib
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,7 @@ from repro.align import (
     iter_shards,
 )
 from repro.align.batch import SHARDS_IN_FLIGHT_PER_WORKER
+from repro.align.parallel import close_shared_pools, shared_pool_pids
 from repro.baselines import NeedlemanWunschAligner
 from repro.workloads import generate_pair_set, save_pairs
 from repro.workloads.seqio import iter_pairs
@@ -318,6 +323,220 @@ class TestLostWorker:
             pool.close()
         assert time.monotonic() - started < 5
         assert multiprocessing.active_children() == []
+
+
+class _RaisingAligner(FullGmxAligner):
+    """Raises on the pair whose pattern is ``victim``."""
+
+    def __init__(self, victim, **kwargs):
+        super().__init__(**kwargs)
+        self.victim = victim
+
+    def align(self, pattern, text, traceback=True):
+        if pattern == self.victim:
+            raise ValueError("planted aligner error")
+        return super().align(pattern, text, traceback=traceback)
+
+
+def _shard_pids(batch):
+    """The worker pids that ran a batch's shards."""
+    return {int(shard.worker.split(":")[1]) for shard in batch.telemetry.shards}
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@needs_processes
+class TestSharedPool:
+    """``align_batch(workers=N)`` with no ``pool=`` runs on one warm pool
+    per worker count, which outlives the batch but never the process."""
+
+    def _pairs(self, count=12):
+        return [(p.pattern, p.text) for p in _dataset(count=count)]
+
+    def test_consecutive_batches_run_on_the_same_workers(self):
+        pairs = self._pairs(8)
+        serial = align_batch(FullGmxAligner(), pairs)
+        # A sleeping shard keeps its worker busy, so both workers run one.
+        first = align_batch(_SlowAligner(), pairs, workers=2, shard_size=1)
+        second = align_batch(_SlowAligner(), pairs, workers=2, shard_size=1)
+        assert len(_shard_pids(first)) == 2
+        assert _shard_pids(second) == _shard_pids(first)
+        for batch in (first, second):
+            assert batch.results == serial.results
+            assert batch.stats == serial.stats
+
+    def test_each_worker_count_has_its_own_warm_pool(self):
+        pairs = self._pairs(9)
+        serial = align_batch(FullGmxAligner(), pairs)
+        two = align_batch(_SlowAligner(), pairs, workers=2, shard_size=1)
+        three = align_batch(_SlowAligner(), pairs, workers=3, shard_size=1)
+        two_again = align_batch(_SlowAligner(), pairs, workers=2, shard_size=1)
+        assert len(_shard_pids(three)) == 3
+        assert not _shard_pids(three) & _shard_pids(two)
+        assert _shard_pids(two_again) == _shard_pids(two)
+        assert shared_pool_pids() == _shard_pids(two) | _shard_pids(three)
+        for batch in (two, three, two_again):
+            assert batch.results == serial.results
+            assert batch.stats == serial.stats
+
+    @pytest.mark.parametrize(
+        "error", (ValueError, RuntimeError, KeyboardInterrupt),
+        ids=("aligner", "stream", "interrupt"),
+    )
+    def test_a_raising_batch_leaves_no_worker(self, error):
+        pairs = self._pairs()
+        serial = align_batch(FullGmxAligner(), pairs)
+        align_batch(FullGmxAligner(), pairs, workers=2, shard_size=2)
+        assert shared_pool_pids()
+
+        def broken_stream():
+            yield from pairs[:5]
+            raise error("input stream broke")
+
+        if error is ValueError:  # raised by the aligner, in a worker
+            aligner, feed = _RaisingAligner(pairs[5][0]), pairs
+        else:
+            aligner, feed = FullGmxAligner(), broken_stream()
+        with _deadline(30), pytest.raises(error):
+            align_batch(aligner, feed, workers=2, shard_size=2)
+        assert multiprocessing.active_children() == []
+        assert shared_pool_pids() == frozenset()
+        again = align_batch(FullGmxAligner(), pairs, workers=2, shard_size=2)
+        assert again.results == serial.results
+        assert again.stats == serial.stats
+
+    def test_a_raising_batch_spares_a_batch_running_beside_it(self):
+        pairs = self._pairs(8)
+        serial = align_batch(FullGmxAligner(), pairs)
+        started = threading.Event()
+        outcome = {}
+
+        def slow_feed():
+            for pair in pairs:
+                started.set()
+                yield pair
+
+        def run_slow():
+            outcome["slow"] = align_batch(
+                _SlowAligner(), slow_feed(), workers=2, shard_size=1
+            )
+
+        thread = threading.Thread(target=run_slow)
+        thread.start()
+        assert started.wait(30)
+        with _deadline(30), pytest.raises(ValueError):
+            align_batch(
+                _RaisingAligner(pairs[0][0]), pairs, workers=2, shard_size=1
+            )
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert outcome["slow"].results == serial.results
+        # The retired pool closed once its last batch finished.
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_its_process(self):
+        # The last exit handler to run (the first registered) reports the
+        # shared pools still in the table: the process closed them itself.
+        script = (
+            "import atexit\n"
+            "from repro.align import FullGmxAligner, align_batch\n"
+            "from repro.align.parallel import shared_pool_pids\n"
+            "atexit.register(lambda: print('open', len(shared_pool_pids())))\n"
+            "pairs = [('ACGT' * 20, 'ACGA' * 20)] * 8\n"
+            "align_batch(FullGmxAligner(), pairs, workers=2, shard_size=2)\n"
+            "print(*sorted(shared_pool_pids()))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        workers, at_exit = proc.stdout.splitlines()
+        pids = [int(pid) for pid in workers.split()]
+        assert len(pids) == 2
+        assert at_exit == "open 0"
+        assert not [pid for pid in pids if _alive(pid)]
+
+    def test_a_forked_child_starts_its_own_pool(self):
+        pairs = self._pairs()
+        serial = align_batch(FullGmxAligner(), pairs)
+        align_batch(FullGmxAligner(), pairs, workers=2, shard_size=2)
+        parent_pids = shared_pool_pids()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the child
+            code = 1
+            try:
+                batch = align_batch(
+                    FullGmxAligner(), pairs, workers=2, shard_size=2
+                )
+                own = shared_pool_pids()
+                good = (
+                    batch.results == serial.results
+                    and len(own) == 2
+                    and not own & parent_pids
+                    and _shard_pids(batch) <= own
+                )
+                close_shared_pools()
+                code = 0 if good else 2
+            finally:
+                os._exit(code)
+        try:
+            with _deadline(60):
+                _, status = os.waitpid(child, 0)
+        except TimeoutError:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+            raise
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        assert shared_pool_pids() == parent_pids
+        assert all(_alive(pid) for pid in parent_pids)
+        again = align_batch(FullGmxAligner(), pairs, workers=2, shard_size=2)
+        assert _shard_pids(again) <= parent_pids
+        assert again.results == serial.results
+
+    def test_threads_share_one_pool(self):
+        pairs = self._pairs()
+        serial = align_batch(FullGmxAligner(), pairs)
+        batches = {}
+
+        def run(index):
+            batches[index] = align_batch(
+                FullGmxAligner(), pairs, workers=2, shard_size=1
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(index,))
+                for index in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(batches) == 4
+        for batch in batches.values():
+            assert batch.results == serial.results
+            assert batch.stats == serial.stats
+        # One pool was started, and no racing thread started another.
+        pool_pids = shared_pool_pids()
+        assert len(pool_pids) == 2
+        assert {child.pid for child in multiprocessing.active_children()} == (
+            pool_pids
+        )
+        assert all(_shard_pids(batch) <= pool_pids for batch in batches.values())
 
 
 @needs_processes

@@ -83,6 +83,23 @@ def _dsan(request):
         yield
 
 
+@pytest.fixture(autouse=True)
+def _close_shared_pools():
+    """Close the warm pools a test left in the shared table when it ends.
+
+    ``align_batch(workers=N)`` keeps one warm pool per worker count for
+    the life of the process.  Closing them after each test makes every
+    test start and end with no pool worker alive: a test asserting an
+    empty ``multiprocessing.active_children()`` does not see an earlier
+    test's pool, and a test that patches module state before its first
+    pooled batch gets workers forked after the patch.
+    """
+    yield
+    from repro.align.parallel import close_shared_pools
+
+    close_shared_pools()
+
+
 @pytest.fixture
 def golden(request):
     """Compare a JSON-safe payload against a committed snapshot.

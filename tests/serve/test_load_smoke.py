@@ -4,6 +4,7 @@ import multiprocessing
 
 import pytest
 
+from repro.align import FullGmxAligner, align_batch
 from repro.serve.bench import percentile, run_serve_bench
 
 
@@ -48,3 +49,20 @@ def test_load_smoke_mixed_hit_miss_clean_shutdown():
     assert data["latency"]["p50_ms"] > 0
     assert data["latency"]["p99_ms"] >= data["latency"]["p50_ms"]
     assert data["throughput_rps"] > 0
+
+
+@pytest.mark.skipif(
+    not multiprocessing.get_all_start_methods(),
+    reason="no multiprocessing start method available",
+)
+def test_shared_batch_pool_workers_are_not_leaks():
+    # A pooled batch leaves this process's shared 2-worker pool warm.
+    pairs = [("ACGT" * 12, "ACGA" * 12)] * 4
+    align_batch(FullGmxAligner(), pairs, workers=2, shard_size=2)
+    report = run_serve_bench(
+        requests=8, clients=2, unique_pairs=4, length=48, workers=2,
+        warm_cold_probes=0,
+    )
+    assert report.errors == 0
+    assert len(multiprocessing.active_children()) == 2
+    assert report.leaked_workers == 0
