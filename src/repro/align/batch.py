@@ -36,6 +36,7 @@ from .parallel import (
     WorkerPool,
     _absorb_obs_buffers,
     _align_shard,
+    _names_main,
     _pickling_failure,
     iter_shards,
     shared_pool,
@@ -158,27 +159,32 @@ def align_batch(
         shard_size: pairs per shard (default ``DEFAULT_SHARD_SIZE``).
         pool: an existing warm :class:`~repro.align.parallel.WorkerPool`
             to run on — the batch skips pool spin-up and leaves the pool
-            open for the next caller.  ``None`` with ``workers > 1`` runs
-            on this process's warm pool of that many workers
+            open for the next caller.  ``None`` with ``workers > 1``
+            checks this process's warm pool out
             (:func:`~repro.align.parallel.shared_pool`): the first such
-            batch starts it, later ones reuse it, and it closes at exit.
+            batch starts it and later ones with the same worker count
+            reuse it, so only a process that runs pooled batches again
+            and again gains.  An aligner whose pickle names ``__main__``
+            runs on a pool of its own for the batch instead.
 
     Raises:
         WorkerLost: a pool worker died before its shard replied.  The
             pool has rebuilt itself, so a borrowed pool stays usable; for
             retries use :func:`repro.resilience.align_batch_resilient`.
-            A batch on the shared pool that raises (this, an aligner
+            A batch on the warm pool that raises (this, an aligner
             error, a broken input stream, ``KeyboardInterrupt``) closes
-            that pool once no other batch runs on it, so it leaves no
-            worker behind; the next batch starts a fresh pool.
+            that pool, so it leaves no worker behind; the next batch
+            starts a fresh pool.
 
-    The aligner and the pairs travel with every shard, so results never
-    depend on when the shared pool forked.  Module state changed in this
-    process after the pool started is not seen by its workers: a
-    monkeypatched method or global switch keeps its old value there, and
-    an aligner class defined in ``__main__`` after the first pooled batch
-    cannot be unpickled there (its worker dies and the batch raises
-    :class:`WorkerLost`; the next batch starts a fresh pool).
+    The aligner and the pairs travel with every shard, pickled by
+    reference to their classes, which the warm workers look up in their
+    own copy of each module, made when the pool forked.  Hence the
+    ``__main__`` exception above: a class (re)defined there after the
+    fork would run as it was at the fork, or not be found.  Module state
+    changed in an imported module after the fork (a monkeypatched method,
+    a global switch, ``importlib.reload``) is not seen by the warm
+    workers either; :func:`~repro.align.parallel.close_shared_pool` after
+    such a change makes the next batch start a fresh pool.
 
     The returned :class:`BatchResult` always carries a
     :attr:`~BatchResult.telemetry` record with the measured wall time.
@@ -203,10 +209,12 @@ def align_batch(
     scope: ContextManager[WorkerPool]
     if inline:
         scope = contextlib.nullcontext(WorkerPool(1))
-    elif pool is None:
-        scope = shared_pool(workers)
-    else:
+    elif pool is not None:
         scope = contextlib.nullcontext(pool)
+    elif _names_main(aligner):
+        scope = WorkerPool(workers)
+    else:
+        scope = shared_pool(workers)
     batch = BatchResult()
     in_flight: Deque = deque()
     token = dsan.batch_begin()

@@ -30,29 +30,37 @@ for plain batches and every other caller alike.  A plain batch fails fast
 with :class:`WorkerLost`; the supervised engine
 (:func:`repro.resilience.align_batch_resilient`) retries the shard.
 
-A plain batch with ``workers=N > 1`` and no pool of its own runs on this
-process's warm pool of ``N`` workers (:func:`shared_pool`), so only the
-first such batch pays for forking, starting and closing workers:
+A plain batch with ``workers=N > 1`` and no pool of its own checks this
+process's warm pool out (:func:`shared_pool`).  A long-lived process
+that runs pooled batches again and again therefore pays for forking,
+starting and closing workers once, not per batch; a one-shot
+``repro align --pairs --workers N`` runs one batch and gains nothing.
 
-* **Start and reuse** — the pool starts on the first batch that needs it
-  and stays warm for the next batch of the same worker count; each worker
-  count has its own pool.
-* **Owner** — the table is keyed by the pid that started each pool: a
-  forked child never uses or closes its parent's pools, it starts its own.
-* **Exit** — an ``atexit`` hook, registered when the first pool is built
-  (so it runs before multiprocessing's own exit handler), closes every
-  shared pool of the exiting process: no worker outlives it.
+* **One pool per process** — the first pooled batch starts it.  The next
+  batch with the same worker count reuses it; a batch with another count
+  closes it and starts its own.
+* **Check-out** — a batch takes the pool out of the table under one lock
+  and puts it back when it ends cleanly, so concurrent batches never
+  share workers.  A batch that finds the table empty starts a pool of its
+  own; a pool that comes back to a filled table closes.
 * **A batch that raises** (a lost worker, an aligner error, a broken
-  input stream, ``KeyboardInterrupt``) retires its pool: the pool closes
-  at once, or as soon as the other batches running on it finish, and the
-  next batch starts a fresh one.
-* **Concurrency** — one lock guards the table; threads running batches
-  of the same worker count share that pool.
+  input stream, ``KeyboardInterrupt``) closes its pool, so it leaves no
+  worker behind, and the next batch starts a fresh one.
+* **Owner** — the table is keyed by the pid that started the pool: a
+  forked child never uses or closes its parent's pool, it starts its own.
+* **Exit** — the idle pool's workers are daemonic, and multiprocessing's
+  own exit handler terminates them: none outlives the process.
+* **``__main__``** — an aligner whose pickle names ``__main__`` (a class
+  from a script, REPL or notebook) runs on a pool of its own for the
+  batch.  Warm workers resolve that name in their copy of ``__main__``,
+  made when they forked, so they would run a class redefined since as it
+  was then, or not find one defined since.
 
-Aligner and pairs travel with every shard, so results never depend on
-when the pool forked.  Module state changed in the parent after the pool
-started (a monkeypatched method, a global switch, a class defined in
-``__main__``) is not seen by its workers.
+Aligner and pairs travel with every shard, but module state the parent
+changes in an imported module after the pool started (a monkeypatched
+method, a global switch, ``importlib.reload``) is not seen by the warm
+workers; :func:`close_shared_pool` after such a change makes the next
+batch start a fresh pool.
 
 Every run records a :class:`BatchTelemetry`: wall time, per-shard timings,
 worker utilisation, and pairs/second.  These are *measured host* numbers —
@@ -63,7 +71,6 @@ modelled cycle counts, which remain the source of all reported figures.
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import functools
 import itertools
@@ -302,6 +309,16 @@ def _pickling_failure(aligner: Aligner) -> Optional[str]:
         return f"{type(aligner).__name__} is not picklable: {exc}"
 
 
+def _names_main(aligner: Aligner) -> bool:
+    """Whether ``aligner``'s pickle names an object of ``__main__``.
+
+    A worker resolves such a name in its own copy of ``__main__``, made
+    when its pool forked: a warm pool would run a class redefined there
+    since as it was then, or not find one defined since.
+    """
+    return b"__main__" in pickle.dumps(aligner)
+
+
 def _resolve_start_method(preferred: Optional[str]) -> Optional[str]:
     import multiprocessing
 
@@ -441,17 +458,18 @@ class WorkerPool:
 
     Every shard executor in the package runs on this class: the plain
     batch entry point (:func:`~repro.align.batch.align_batch` borrows a
-    caller's pool, or runs on this process's warm pool for its worker
-    count, see :func:`shared_pool`), the resilient engine (one pool per
-    call), the alignment service (:mod:`repro.serve` creates one warm
-    pool at startup and reuses it across requests) and the dist node.
-    Workers start from the parent as it is when the pool starts (or
-    rebuilds): what the parent changes later in its own module state is
-    not seen by them, while the aligner and pairs of every task are
-    pickled afresh.  The handle wraps a ``multiprocessing.Pool`` when a
-    start method is available and degrades to a deterministic in-process
-    executor otherwise (``workers=1``, or a platform without
-    ``fork``/``spawn``).
+    caller's pool, or checks this process's warm pool out, see
+    :func:`shared_pool`), the resilient engine (one pool per call), the
+    alignment service (:mod:`repro.serve` creates one warm pool at
+    startup and reuses it across requests) and the dist node.  Workers
+    start from the parent as it is when the pool starts (or rebuilds):
+    what the parent changes later in its own module state is not seen by
+    them, while the aligner and pairs of every task are pickled afresh
+    (by reference to their classes, which the workers look up in their
+    own copy of each module).  The handle wraps a
+    ``multiprocessing.Pool`` when a start method is available and
+    degrades to a deterministic in-process executor otherwise
+    (``workers=1``, or a platform without ``fork``/``spawn``).
 
     Lifecycle: :meth:`start` (optional — first submit warms lazily) →
     :meth:`submit` → :meth:`wait` → :meth:`rebuild` after a missed
@@ -630,28 +648,18 @@ class WorkerPool:
         self.close()
 
 
-class _SharedPool:
-    """A warm pool in the shared table, and the batches running on it."""
-
-    __slots__ = ("pool", "users")
-
-    def __init__(self, pool: WorkerPool) -> None:
-        self.pool = pool
-        self.users = 0
-
-
-#: This process's warm pools for :func:`shared_pool`, keyed by
-#: (pid that started the pool, worker count).
-_SHARED_POOLS: Dict[Tuple[int, int], _SharedPool] = {}
-_SHARED_LOCK = threading.Lock()
-_EXIT_HOOKED = False
+#: This process's warm pool for :func:`shared_pool`, keyed by the pid
+#: that started it: a forked child inherits its parent's entry and leaves
+#: it alone.
+_WARM_POOLS: Dict[int, WorkerPool] = {}
+_WARM_LOCK = threading.Lock()
 
 
 def _reset_lock_after_fork() -> None:
     # A child forked while another thread held the lock would inherit it
-    # held.  The child never touches its parent's entries (other pid).
-    global _SHARED_LOCK
-    _SHARED_LOCK = threading.Lock()
+    # held.  The child never touches its parent's entry (other pid).
+    global _WARM_LOCK
+    _WARM_LOCK = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):  # POSIX; no fork, no inherited lock
@@ -660,63 +668,46 @@ if hasattr(os, "register_at_fork"):  # POSIX; no fork, no inherited lock
 
 @contextlib.contextmanager
 def shared_pool(workers: int) -> Iterator[WorkerPool]:
-    """Run one batch on this process's warm pool of ``workers`` workers.
+    """Check this process's warm pool out for one batch of ``workers``.
 
-    The first batch of a worker count starts its pool; later batches of
-    that count reuse it, concurrently too.  A batch that raises retires
-    the pool: it leaves the table, so the next batch starts a fresh one,
-    and closes as soon as no batch runs on it.  The module docstring
+    The pool in the table is reused when its worker count matches and
+    closed otherwise; an empty table starts a new pool.  A batch that
+    ends cleanly puts its pool back (or closes it, when another batch put
+    one back first); a batch that raises closes it.  The module docstring
     lists the whole lifecycle.
     """
-    global _EXIT_HOOKED
-    key = (os.getpid(), workers)
-    with _SHARED_LOCK:
-        entry = _SHARED_POOLS.get(key)
-        if entry is None:
-            entry = _SharedPool(WorkerPool(workers).start())
-            _SHARED_POOLS[key] = entry
-            if not _EXIT_HOOKED:
-                # After the pool is built, so after multiprocessing
-                # registered its own exit handler: ours runs first.
-                atexit.register(close_shared_pools)
-                _EXIT_HOOKED = True
-        entry.users += 1
-    retire = True
-    try:
-        yield entry.pool
-        retire = False
-    finally:
-        with _SHARED_LOCK:
-            entry.users -= 1
-            if retire and _SHARED_POOLS.get(key) is entry:
-                del _SHARED_POOLS[key]
-            idle_and_retired = (
-                entry.users == 0 and _SHARED_POOLS.get(key) is not entry
-            )
-        if idle_and_retired:
-            entry.pool.close()
-
-
-def close_shared_pools() -> None:
-    """Close every shared pool this process started (the exit hook)."""
     pid = os.getpid()
-    with _SHARED_LOCK:
-        owned = [key for key in _SHARED_POOLS if key[0] == pid]
-        entries = [_SHARED_POOLS.pop(key) for key in owned]
-    for entry in entries:
-        entry.pool.close()
+    with _WARM_LOCK:
+        pool = _WARM_POOLS.pop(pid, None)
+    if pool is not None and pool.workers != workers:
+        pool.close()
+        pool = None
+    if pool is None:
+        pool = WorkerPool(workers).start()
+    try:
+        yield pool
+    except BaseException:
+        pool.close()
+        raise
+    with _WARM_LOCK:
+        kept = _WARM_POOLS.setdefault(pid, pool) is pool
+    if not kept:
+        pool.close()
+
+
+def close_shared_pool() -> None:
+    """Close this process's warm pool, if any: the next batch starts anew."""
+    with _WARM_LOCK:
+        pool = _WARM_POOLS.pop(os.getpid(), None)
+    if pool is not None:
+        pool.close()
 
 
 def shared_pool_pids() -> FrozenSet[int]:
-    """PIDs of the workers of every shared pool this process started."""
-    pid = os.getpid()
-    with _SHARED_LOCK:
-        pools = [
-            entry.pool for key, entry in _SHARED_POOLS.items() if key[0] == pid
-        ]
-    return frozenset(
-        worker for pool in pools for worker in pool.worker_pids()
-    )
+    """PIDs of the workers of this process's warm pool while it is idle."""
+    with _WARM_LOCK:
+        pool = _WARM_POOLS.get(os.getpid())
+    return frozenset(pool.worker_pids() if pool is not None else ())
 
 
 def _absorb_obs_buffers(buffers: ObsBuffers) -> None:

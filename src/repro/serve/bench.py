@@ -342,7 +342,7 @@ def run_serve_bench(
                 workers=workers,
                 method=_cold_start_method(service.pool.method),
             )
-    # Workers of this process's shared batch pools (an earlier
+    # Workers of this process's warm batch pool (left by an earlier
     # ``align_batch(workers=N)``) stay warm on purpose; they are not leaks.
     shared = shared_pool_pids()
     leaked = sum(

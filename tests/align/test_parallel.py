@@ -27,7 +27,7 @@ from repro.align import (
     iter_shards,
 )
 from repro.align.batch import SHARDS_IN_FLIGHT_PER_WORKER
-from repro.align.parallel import close_shared_pools, shared_pool_pids
+from repro.align.parallel import close_shared_pool, shared_pool_pids
 from repro.baselines import NeedlemanWunschAligner
 from repro.workloads import generate_pair_set, save_pairs
 from repro.workloads.seqio import iter_pairs
@@ -351,10 +351,15 @@ def _alive(pid):
     return True
 
 
+def _child_pids():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
 @needs_processes
 class TestSharedPool:
-    """``align_batch(workers=N)`` with no ``pool=`` runs on one warm pool
-    per worker count, which outlives the batch but never the process."""
+    """``align_batch(workers=N)`` with no ``pool=`` checks out this
+    process's one warm pool, which outlives the batch but never the
+    process."""
 
     def _pairs(self, count=12):
         return [(p.pattern, p.text) for p in _dataset(count=count)]
@@ -371,16 +376,18 @@ class TestSharedPool:
             assert batch.results == serial.results
             assert batch.stats == serial.stats
 
-    def test_each_worker_count_has_its_own_warm_pool(self):
+    def test_another_worker_count_replaces_the_warm_pool(self):
         pairs = self._pairs(9)
         serial = align_batch(FullGmxAligner(), pairs)
         two = align_batch(_SlowAligner(), pairs, workers=2, shard_size=1)
         three = align_batch(_SlowAligner(), pairs, workers=3, shard_size=1)
-        two_again = align_batch(_SlowAligner(), pairs, workers=2, shard_size=1)
         assert len(_shard_pids(three)) == 3
-        assert not _shard_pids(three) & _shard_pids(two)
-        assert _shard_pids(two_again) == _shard_pids(two)
-        assert shared_pool_pids() == _shard_pids(two) | _shard_pids(three)
+        assert shared_pool_pids() == _shard_pids(three) == _child_pids()
+        two_again = align_batch(
+            _SlowAligner(), pairs, workers=2, shard_size=1
+        )
+        assert len(_shard_pids(two_again)) == 2
+        assert shared_pool_pids() == _shard_pids(two_again) == _child_pids()
         for batch in (two, three, two_again):
             assert batch.results == serial.results
             assert batch.stats == serial.stats
@@ -411,43 +418,88 @@ class TestSharedPool:
         assert again.results == serial.results
         assert again.stats == serial.stats
 
-    def test_a_raising_batch_spares_a_batch_running_beside_it(self):
-        pairs = self._pairs(8)
+    def test_a_main_class_redefined_between_batches_runs_as_redefined(
+        self, monkeypatch
+    ):
+        pairs = self._pairs(6)
         serial = align_batch(FullGmxAligner(), pairs)
-        started = threading.Event()
-        outcome = {}
+        main = sys.modules["__main__"]
 
-        def slow_feed():
-            for pair in pairs:
-                started.set()
-                yield pair
+        def define(offset):
+            # What a script, REPL or notebook cell defining it does.
+            class Shifted(FullGmxAligner):
+                def align(self, pattern, text, traceback=True):
+                    result = super().align(pattern, text, traceback=traceback)
+                    result.score += offset
+                    return result
 
-        def run_slow():
-            outcome["slow"] = align_batch(
-                _SlowAligner(), slow_feed(), workers=2, shard_size=1
-            )
+            Shifted.__module__ = "__main__"
+            Shifted.__qualname__ = "Shifted"
+            monkeypatch.setattr(main, "Shifted", Shifted, raising=False)
+            return Shifted()
 
-        thread = threading.Thread(target=run_slow)
-        thread.start()
-        assert started.wait(30)
-        with _deadline(30), pytest.raises(ValueError):
-            align_batch(
-                _RaisingAligner(pairs[0][0]), pairs, workers=2, shard_size=1
-            )
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert outcome["slow"].results == serial.results
-        # The retired pool closed once its last batch finished.
+        with _deadline(60):
+            first = align_batch(define(1), pairs, workers=2, shard_size=2)
+            second = align_batch(define(2), pairs, workers=2, shard_size=2)
+        for offset, batch in ((1, first), (2, second)):
+            assert batch.telemetry.executor == "fork"
+            assert [r.score for r in batch.results] == [
+                r.score + offset for r in serial.results
+            ]
+        # Each ran on a pool of its own, closed with its batch.
+        assert shared_pool_pids() == frozenset()
         assert multiprocessing.active_children() == []
 
+    def test_a_batch_beside_a_running_one_gets_its_own_pool(self):
+        pairs = self._pairs(12)
+        serial = align_batch(FullGmxAligner(), pairs)
+        align_batch(FullGmxAligner(), pairs, workers=2, shard_size=2)
+        warm = shared_pool_pids()
+        checked_out, release = threading.Event(), threading.Event()
+        outcome = {}
+
+        def held_feed():
+            yield from pairs[:4]
+            checked_out.set()
+            assert release.wait(60)
+            yield from pairs[4:]
+
+        def run_held():
+            outcome["held"] = align_batch(
+                FullGmxAligner(), held_feed(), workers=2, shard_size=1
+            )
+
+        thread = threading.Thread(target=run_held)
+        thread.start()
+        try:
+            assert checked_out.wait(30)
+            with _deadline(60):
+                beside = align_batch(
+                    FullGmxAligner(), pairs, workers=2, shard_size=2
+                )
+                # A worker lost beside the held batch does not reach it.
+                with pytest.raises(WorkerLost):
+                    align_batch(
+                        _KillSelfAligner(pairs[3][0]), pairs, workers=2,
+                        shard_size=2,
+                    )
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        held = outcome["held"]
+        assert not _shard_pids(beside) & warm
+        assert _shard_pids(held) <= warm
+        for batch in (beside, held):
+            assert batch.results == serial.results
+            assert batch.stats == serial.stats
+        # The held pool came back; the other two closed.
+        assert shared_pool_pids() == warm == _child_pids()
+
     def test_no_worker_outlives_its_process(self):
-        # The last exit handler to run (the first registered) reports the
-        # shared pools still in the table: the process closed them itself.
         script = (
-            "import atexit\n"
             "from repro.align import FullGmxAligner, align_batch\n"
             "from repro.align.parallel import shared_pool_pids\n"
-            "atexit.register(lambda: print('open', len(shared_pool_pids())))\n"
             "pairs = [('ACGT' * 20, 'ACGA' * 20)] * 8\n"
             "align_batch(FullGmxAligner(), pairs, workers=2, shard_size=2)\n"
             "print(*sorted(shared_pool_pids()))\n"
@@ -459,10 +511,8 @@ class TestSharedPool:
             timeout=60, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        workers, at_exit = proc.stdout.splitlines()
-        pids = [int(pid) for pid in workers.split()]
+        pids = [int(pid) for pid in proc.stdout.split()]
         assert len(pids) == 2
-        assert at_exit == "open 0"
         assert not [pid for pid in pids if _alive(pid)]
 
     def test_a_forked_child_starts_its_own_pool(self):
@@ -484,7 +534,7 @@ class TestSharedPool:
                     and not own & parent_pids
                     and _shard_pids(batch) <= own
                 )
-                close_shared_pools()
+                close_shared_pool()
                 code = 0 if good else 2
             finally:
                 os._exit(code)
@@ -501,42 +551,6 @@ class TestSharedPool:
         again = align_batch(FullGmxAligner(), pairs, workers=2, shard_size=2)
         assert _shard_pids(again) <= parent_pids
         assert again.results == serial.results
-
-    def test_threads_share_one_pool(self):
-        pairs = self._pairs()
-        serial = align_batch(FullGmxAligner(), pairs)
-        batches = {}
-
-        def run(index):
-            batches[index] = align_batch(
-                FullGmxAligner(), pairs, workers=2, shard_size=1
-            )
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [
-                threading.Thread(target=run, args=(index,))
-                for index in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(batches) == 4
-        for batch in batches.values():
-            assert batch.results == serial.results
-            assert batch.stats == serial.stats
-        # One pool was started, and no racing thread started another.
-        pool_pids = shared_pool_pids()
-        assert len(pool_pids) == 2
-        assert {child.pid for child in multiprocessing.active_children()} == (
-            pool_pids
-        )
-        assert all(_shard_pids(batch) <= pool_pids for batch in batches.values())
 
 
 @needs_processes

@@ -84,20 +84,20 @@ def _dsan(request):
 
 
 @pytest.fixture(autouse=True)
-def _close_shared_pools():
-    """Close the warm pools a test left in the shared table when it ends.
+def _close_shared_pool():
+    """Close the warm pool a test left in the shared table when it ends.
 
-    ``align_batch(workers=N)`` keeps one warm pool per worker count for
-    the life of the process.  Closing them after each test makes every
-    test start and end with no pool worker alive: a test asserting an
-    empty ``multiprocessing.active_children()`` does not see an earlier
-    test's pool, and a test that patches module state before its first
-    pooled batch gets workers forked after the patch.
+    ``align_batch(workers=N)`` keeps one warm pool for the life of the
+    process.  Closing it after each test makes every test start and end
+    with no pool worker alive: a test asserting an empty
+    ``multiprocessing.active_children()`` does not see an earlier test's
+    pool, and a test that patches module state before its first pooled
+    batch gets workers forked after the patch.
     """
     yield
-    from repro.align.parallel import close_shared_pools
+    from repro.align.parallel import close_shared_pool
 
-    close_shared_pools()
+    close_shared_pool()
 
 
 @pytest.fixture
