@@ -19,7 +19,7 @@ import abc
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
 from ..core.cigar import Alignment
 
@@ -202,6 +202,41 @@ class Aligner(abc.ABC):
     def distance(self, pattern: str, text: str) -> int:
         """Convenience wrapper returning only the score."""
         return self.align(pattern, text, traceback=False).score
+
+
+def aligner_fingerprint(aligner: Aligner) -> str:
+    """Stable identity of an aligner configuration.
+
+    Two aligners with the same fingerprint are interchangeable: same
+    class, same scalar configuration (tile size, mode, fusion, windows…),
+    same kernel backend, same nested aligners.  Result caches key on it,
+    checkpoint journals record it, and dist nodes check it against their
+    coordinator's.  The fingerprint folds in the class name and every
+    public scalar/enum instance attribute (sorted by name).  A nested
+    aligner (a windowed driver's ``inner``) is folded in by its own
+    fingerprint, and other complex attributes (the backend object) by
+    their ``name``, or they are skipped, so the fingerprint never depends
+    on object identity.  Attributes whose names start with ``_`` hold
+    per-call or derived state, not configuration, and are left out.
+    """
+    parts: List[str] = [type(aligner).__name__]
+    for key in sorted(vars(aligner)):
+        if key.startswith("_"):
+            continue
+        value = vars(aligner)[key]
+        if isinstance(value, Aligner):
+            parts.append(f"{key}=({aligner_fingerprint(value)})")
+        elif isinstance(value, (bool, int, str)) or value is None:
+            parts.append(f"{key}={value!r}")
+        elif hasattr(value, "value") and not callable(value):
+            # Enum-like (AlignmentMode): identified by its value.
+            parts.append(f"{key}={getattr(value, 'value')!r}")
+        elif hasattr(value, "name") and isinstance(
+            getattr(value, "name"), str
+        ):
+            # Backend-like: identified by its engine name.
+            parts.append(f"{key}={getattr(value, 'name')!r}")
+    return "|".join(parts)
 
 
 class AlignerError(RuntimeError):

@@ -18,12 +18,11 @@ Example::
 
 from __future__ import annotations
 
-import contextlib
 import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import ContextManager, Deque, Iterable, List, Optional
+from typing import Deque, Iterable, List, Optional
 
 from ..analysis.sanitizer import runtime as dsan
 from ..obs import runtime as obs
@@ -36,10 +35,8 @@ from .parallel import (
     WorkerPool,
     _absorb_obs_buffers,
     _align_shard,
-    _names_main,
-    _pickling_failure,
+    batch_pool,
     iter_shards,
-    shared_pool,
 )
 
 #: Shards kept in flight per pool worker: one running and one queued, so
@@ -135,7 +132,6 @@ def align_batch(
     validate: bool = False,
     workers: Optional[int] = 1,
     shard_size: Optional[int] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> BatchResult:
     """Align every pair with ``aligner`` and aggregate the statistics.
 
@@ -152,24 +148,20 @@ def align_batch(
         validate: additionally replay every alignment against its sequences
             (raises on any inconsistency — a thorough self-check mode).
         workers: worker processes; ``1`` (default) aligns in process,
-            ``None`` uses the host CPU count.  A borrowed ``pool`` brings
-            its own count.  A non-picklable aligner or a platform without
-            process support falls back to in-process execution, named in
+            ``None`` uses the host CPU count.  A non-picklable aligner or
+            a platform without process support falls back to in-process
+            execution, named in
             ``telemetry.fallback_reason``/``telemetry.executor``.
-        shard_size: pairs per shard (default ``DEFAULT_SHARD_SIZE``).
-        pool: an existing warm :class:`~repro.align.parallel.WorkerPool`
-            to run on — the batch skips pool spin-up and leaves the pool
-            open for the next caller.  ``None`` with ``workers > 1``
-            checks this process's warm pool out
-            (:func:`~repro.align.parallel.shared_pool`): the first such
+            Otherwise the batch checks this process's warm pool out
+            (:func:`~repro.align.parallel.batch_pool`): the first such
             batch starts it and later ones with the same worker count
             reuse it, so only a process that runs pooled batches again
             and again gains.  An aligner whose pickle names ``__main__``
             runs on a pool of its own for the batch instead.
+        shard_size: pairs per shard (default ``DEFAULT_SHARD_SIZE``).
 
     Raises:
-        WorkerLost: a pool worker died before its shard replied.  The
-            pool has rebuilt itself, so a borrowed pool stays usable; for
+        WorkerLost: a pool worker died before its shard replied; for
             retries use :func:`repro.resilience.align_batch_resilient`.
             A batch on the warm pool that raises (this, an aligner
             error, a broken input stream, ``KeyboardInterrupt``) closes
@@ -189,9 +181,7 @@ def align_batch(
     The returned :class:`BatchResult` always carries a
     :attr:`~BatchResult.telemetry` record with the measured wall time.
     """
-    if pool is not None:
-        workers = pool.workers
-    elif workers is None:
+    if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
@@ -200,21 +190,7 @@ def align_batch(
     shards = iter_shards(pairs, shard_size)
     start = time.perf_counter()
 
-    pickling_failure = _pickling_failure(aligner) if workers > 1 else None
-    inline = (
-        workers == 1
-        or pickling_failure is not None
-        or (pool is not None and (pool.closed or not pool.process_mode))
-    )
-    scope: ContextManager[WorkerPool]
-    if inline:
-        scope = contextlib.nullcontext(WorkerPool(1))
-    elif pool is not None:
-        scope = contextlib.nullcontext(pool)
-    elif _names_main(aligner):
-        scope = WorkerPool(workers)
-    else:
-        scope = shared_pool(workers)
+    scope, pickling_failure = batch_pool(aligner, workers)
     batch = BatchResult()
     in_flight: Deque = deque()
     token = dsan.batch_begin()

@@ -30,11 +30,17 @@ for plain batches and every other caller alike.  A plain batch fails fast
 with :class:`WorkerLost`; the supervised engine
 (:func:`repro.resilience.align_batch_resilient`) retries the shard.
 
-A plain batch with ``workers=N > 1`` and no pool of its own checks this
-process's warm pool out (:func:`shared_pool`).  A long-lived process
-that runs pooled batches again and again therefore pays for forking,
-starting and closing workers once, not per batch; a one-shot
-``repro align --pairs --workers N`` runs one batch and gains nothing.
+One executor rule (:func:`_executor_rule`) picks every pool: inline for
+one worker or an aligner that cannot be pickled, whose failure is the
+``fallback_reason``.  The service and the dist node keep that pool for
+their lifetime (:func:`owned_pool`).  A batch of either engine
+(:func:`batch_pool`) otherwise runs on a pool of its own when the
+aligner's pickle names ``__main__`` (see below), and on this process's
+warm pool, checked out for the batch, in every other case
+(:func:`shared_pool`).  A long-lived process that runs pooled batches
+again and again therefore pays for forking, starting and closing workers
+once, not per batch; a one-shot ``repro align --pairs --workers N`` runs
+one batch and gains nothing.  The warm pool's lifecycle:
 
 * **One pool per process** — the first pooled batch starts it.  The next
   batch with the same worker count reuses it; a batch with another count
@@ -44,8 +50,10 @@ starting and closing workers once, not per batch; a one-shot
   share workers.  A batch that finds the table empty starts a pool of its
   own; a pool that comes back to a filled table closes.
 * **A batch that raises** (a lost worker, an aligner error, a broken
-  input stream, ``KeyboardInterrupt``) closes its pool, so it leaves no
-  worker behind, and the next batch starts a fresh one.
+  input stream, ``KeyboardInterrupt``, a journal error) closes its pool,
+  so it leaves no worker behind, and the next batch starts a fresh one.
+  A resilient batch's missed deadline rebuilds the checked-out pool
+  instead, and a clean end puts the rebuilt pool back.
 * **Owner** — the table is keyed by the pid that started the pool: a
   forked child never uses or closes its parent's pool, it starts its own.
 * **Exit** — the idle pool's workers are daemonic, and multiprocessing's
@@ -78,15 +86,18 @@ import os
 import pickle
 import threading
 import time
+import zlib
 from dataclasses import dataclass, field
 from typing import (
     Callable,
+    ContextManager,
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -228,19 +239,31 @@ def iter_shards(
 
     Consumes the input incrementally (``islice``), so generators and
     streaming readers are never materialised; each yielded shard holds
-    plain ``(pattern, text)`` tuples, the cheapest payload to pickle.
+    plain ``(pattern, text)`` tuples, the cheapest payload to pickle.  A
+    bad ``shard_size`` raises at the call, before a batch starts a pool.
     """
     if shard_size < 1:
         raise ValueError(f"shard size must be positive, got {shard_size}")
     iterator = iter(pairs)
-    while True:
-        shard = [
-            _as_pair(item)
-            for item in itertools.islice(iterator, shard_size)
-        ]
-        if not shard:
-            return
-        yield shard
+    return iter(
+        lambda: [_as_pair(item) for item in itertools.islice(iterator, shard_size)],
+        [],
+    )
+
+
+def pair_checksum(pattern: str, text: str) -> int:
+    """Order-sensitive checksum of one pair (CRC32 over both sequences)."""
+    return zlib.crc32(pattern.encode() + b"\x00" + text.encode())
+
+
+def shard_checksum(pairs: Sequence[Tuple[str, str]]) -> int:
+    """Order-sensitive checksum of a shard's pairs (folded pair CRCs)."""
+    checksum = 0
+    for pattern, text in pairs:
+        checksum = (
+            checksum * 1000003 + pair_checksum(pattern, text)
+        ) & 0xFFFFFFFF
+    return checksum
 
 
 #: A worker's observability freight: drained span dicts + metrics payload.
@@ -310,12 +333,7 @@ def _pickling_failure(aligner: Aligner) -> Optional[str]:
 
 
 def _names_main(aligner: Aligner) -> bool:
-    """Whether ``aligner``'s pickle names an object of ``__main__``.
-
-    A worker resolves such a name in its own copy of ``__main__``, made
-    when its pool forked: a warm pool would run a class redefined there
-    since as it was then, or not find one defined since.
-    """
+    """Whether ``aligner``'s pickle names an object of ``__main__``."""
     return b"__main__" in pickle.dumps(aligner)
 
 
@@ -456,12 +474,11 @@ def _pool_class():
 class WorkerPool:
     """A reusable worker-pool handle: create once, submit many, close once.
 
-    Every shard executor in the package runs on this class: the plain
-    batch entry point (:func:`~repro.align.batch.align_batch` borrows a
-    caller's pool, or checks this process's warm pool out, see
-    :func:`shared_pool`), the resilient engine (one pool per call), the
-    alignment service (:mod:`repro.serve` creates one warm pool at
-    startup and reuses it across requests) and the dist node.  Workers
+    Every shard executor in the package runs on this class, chosen by
+    one rule: both batch engines check this process's warm pool out
+    (:func:`batch_pool`, :func:`shared_pool`), and the alignment service
+    and the dist node each keep a pool of their own from startup
+    (:func:`owned_pool`), reused across requests.  Workers
     start from the parent as it is when the pool starts (or rebuilds):
     what the parent changes later in its own module state is not seen by
     them, while the aligner and pairs of every task are pickled afresh
@@ -693,6 +710,36 @@ def shared_pool(workers: int) -> Iterator[WorkerPool]:
         kept = _WARM_POOLS.setdefault(pid, pool) is pool
     if not kept:
         pool.close()
+
+
+def _executor_rule(aligner: Aligner, workers: int) -> Tuple[str, Optional[str]]:
+    """The one executor rule: ``(placement, fallback_reason)``, where the
+    placement is ``inline``, ``own`` (the pickle names ``__main__``) or
+    ``warm`` (see the module docstring)."""
+    if workers <= 1:
+        return "inline", None
+    reason = _pickling_failure(aligner)
+    if reason is not None:
+        return "inline", reason
+    return ("own" if _names_main(aligner) else "warm"), None
+
+
+def owned_pool(aligner: Aligner, workers: int) -> Tuple[WorkerPool, Optional[str]]:
+    """A pool its caller starts, keeps and closes, and its fallback reason."""
+    _placement, reason = _executor_rule(aligner, workers)
+    return WorkerPool(1 if reason else workers), reason
+
+
+def batch_pool(
+    aligner: Aligner, workers: int
+) -> Tuple[ContextManager[WorkerPool], Optional[str]]:
+    """The pool one batch runs in (a context manager: an ``own`` pool
+    closes with the batch), and its fallback reason."""
+    placement, reason = _executor_rule(aligner, workers)
+    if placement == "warm":
+        return shared_pool(workers), None
+    pool = WorkerPool(1 if reason else workers)
+    return (pool if placement == "own" else contextlib.nullcontext(pool)), reason
 
 
 def close_shared_pool() -> None:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from ..align.base import Aligner, KernelStats
+from ..align.base import Aligner, KernelStats, aligner_fingerprint
 from ..align.batch import PairLike
 from ..align.parallel import (
     DEFAULT_SHARD_SIZE,
@@ -53,12 +53,11 @@ from ..align.parallel import (
     ShardTelemetry,
     _absorb_obs_buffers,
     _align_shard,
+    shard_checksum,
 )
 from ..common.retry import RetryPolicy
 from ..obs import runtime as obs
 from ..resilience.checkpoint import CheckpointJournal
-from ..resilience.injectors import shard_checksum
-from ..serve.cache import aligner_fingerprint
 from .packing import PackedShard, pack_shards, pick_node
 from .protocol import (
     DistError,

@@ -6,7 +6,10 @@ One worker node = one process, one warm
 ``GET /health``
     Liveness + identity: node name, **incarnation** (bumped every time a
     supervisor respawns the process — the coordinator uses it to tell a
-    revived node from a flapping one), pool shape, shards completed.
+    revived node from a flapping one), pool shape, shards completed, and
+    ``fallback_reason`` when the aligner cannot be pickled, so the node
+    aligns inline (the executor rule of
+    :func:`~repro.align.parallel.owned_pool`, as the service does).
 
 ``POST /shard``
     Body: a :class:`~repro.dist.protocol.ShardRequest`.  The node checks
@@ -28,18 +31,15 @@ per-node spans/metrics across process boundaries.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterator, Tuple
 
-from ..align.base import Aligner
-from ..align.parallel import WorkerPool, _align_shard
-from ..resilience.injectors import shard_checksum
-from ..serve.cache import aligner_fingerprint
+from ..align.base import Aligner, aligner_fingerprint
+from ..align.parallel import _align_shard, owned_pool, shard_checksum
+from ..common.jsonhttp import JsonHTTPServer, JsonRequestHandler, serving
 from .protocol import (
     DistError,
     ProtocolError,
@@ -65,7 +65,7 @@ class DistWorker:
         self.aligner = aligner
         self.node = node
         self.incarnation = incarnation
-        self.pool = WorkerPool(workers)
+        self.pool, self.fallback_reason = owned_pool(aligner, workers)
         self.fingerprint = aligner_fingerprint(aligner)
         self._lock = threading.Lock()
         self.shards_done = 0
@@ -84,6 +84,7 @@ class DistWorker:
             "workers": self.pool.workers,
             "executor": self.pool.executor,
             "pool_generation": self.pool.generation,
+            "fallback_reason": self.fallback_reason,
             "shards_done": done,
         }
 
@@ -129,24 +130,16 @@ class DistWorker:
         )
 
 
-class DistWorkerHandler(BaseHTTPRequestHandler):
-    """Routes node HTTP traffic into the shared :class:`DistWorker`.
+class DistWorkerHandler(JsonRequestHandler):
+    """Routes node HTTP traffic into the shared :class:`DistWorker`;
+    each response leaves in one write."""
 
-    Responses leave in one write, as on the serve handler
-    (:class:`~repro.serve.http.AlignmentRequestHandler`).
-    """
-
-    protocol_version = "HTTP/1.1"
     server_version = "repro-dist-worker/1.0"
-    wbufsize = -1
-    disable_nagle_algorithm = True
+    max_body_bytes = MAX_BODY_BYTES
 
     @property
     def worker(self) -> DistWorker:
         return self.server.worker  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        """Silence per-request stderr logging."""
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         if self.path == "/health":
@@ -158,20 +151,9 @@ class DistWorkerHandler(BaseHTTPRequestHandler):
         if self.path != "/shard":
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
             return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = -1
-        if length <= 0 or length > MAX_BODY_BYTES:
-            self._send_json(
-                400,
-                {
-                    "error": "Content-Length required and <= "
-                    f"{MAX_BODY_BYTES} bytes"
-                },
-            )
+        body = self._read_body()
+        if body is None:
             return
-        body = self.rfile.read(length)
         try:
             request = ShardRequest.from_json(body)
         except ProtocolError as exc:
@@ -217,22 +199,9 @@ class DistWorkerHandler(BaseHTTPRequestHandler):
             return
         self._send_raw(200, completion.to_json())
 
-    def _send_json(self, code: int, payload: dict) -> None:
-        self._send_raw(code, json.dumps(payload).encode("utf-8"))
 
-    def _send_raw(self, code: int, body: bytes) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-
-class DistWorkerServer(ThreadingHTTPServer):
+class DistWorkerServer(JsonHTTPServer):
     """Threaded HTTP server bound to one :class:`DistWorker`."""
-
-    daemon_threads = True
-    allow_reuse_address = True
 
     def __init__(self, address: Tuple[str, int], worker: DistWorker) -> None:
         super().__init__(address, DistWorkerHandler)
@@ -259,20 +228,11 @@ def running_worker(
         incarnation=incarnation,
         workers=workers,
     )
-    server = DistWorkerServer((host, port), worker)
-    thread = threading.Thread(
-        target=server.serve_forever,
-        name=f"repro-dist-{node}",
-        daemon=True,
-    )
-    thread.start()
-    bound = server.server_address
     try:
-        yield worker, f"http://{bound[0]}:{bound[1]}"
+        server = DistWorkerServer((host, port), worker)
+        with serving(server, f"repro-dist-{node}") as base_url:
+            yield worker, base_url
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join()
         worker.close()
 
 

@@ -6,10 +6,12 @@ correct — byte-identical to a fault-free serial run — while workers
 crash, hang, return garbage, or the (modelled) hardware corrupts values:
 
 * **deadlines** — each shard attempt runs under ``shard_timeout``.
-  Every attempt runs on a :class:`~repro.align.parallel.WorkerPool`; on
-  a process pool a missed deadline rebuilds the pool, and the other
-  attempts in flight rerun uncharged.  Inline attempts are rejected
-  retroactively (soft deadline).
+  Every attempt runs on the pool the executor rule picks for the batch
+  (:func:`~repro.align.parallel.batch_pool`: this process's warm pool,
+  checked out, when the batch runs in processes).  On a process pool a
+  missed deadline rebuilds the pool, and the other attempts in flight
+  rerun uncharged; the batch puts the rebuilt pool back when it ends.
+  Inline attempts are rejected retroactively (soft deadline).
 * **retry with seeded backoff** — failed attempts are retried up to
   ``max_retries`` times with exponentially growing, deterministically
   jittered delays (:class:`RetryPolicy`), so campaigns replay exactly.
@@ -46,6 +48,7 @@ from ..align.base import (
     Aligner,
     AlignmentResult,
     ResilienceCounters,
+    aligner_fingerprint,
 )
 from ..analysis.sanitizer import runtime as dsan
 from ..align.batch import BatchResult, PairLike
@@ -56,8 +59,9 @@ from ..align.parallel import (
     WorkerLost,
     WorkerPool,
     _absorb_obs_buffers,
-    _pickling_failure,
+    batch_pool,
     iter_shards,
+    shard_checksum,
 )
 from ..common.retry import RetryPolicy
 from ..core.cigar import AlignmentError
@@ -69,7 +73,6 @@ from .injectors import (
     HardwareFaultInjector,
     apply_worker_fault,
     corrupt_pair,
-    shard_checksum,
 )
 
 #: Deadline applied when a fault plan is present but none was chosen —
@@ -441,7 +444,6 @@ class _Supervisor:
 
     def __init__(
         self,
-        aligner: Aligner,
         shards: Iterable[List[Tuple[str, str]]],
         *,
         traceback: bool,
@@ -453,7 +455,6 @@ class _Supervisor:
         journal: Optional[CheckpointJournal],
         inline: bool,
     ):
-        self.aligner = aligner
         self._shards = iter(shards)
         self.traceback = traceback
         self.validate = validate
@@ -814,7 +815,8 @@ def align_batch_resilient(
         max_retries: attempts after the first, per work item (default
             :class:`RetryPolicy`'s), with its seeded exponential backoff.
         shard_timeout: per-attempt deadline in seconds.  A process-mode
-            attempt past it is terminated with its pool, which is rebuilt;
+            attempt past it is terminated with its pool, which is rebuilt
+            (and, on the warm pool, put back when the batch ends);
             inline attempts are rejected after the fact.  Defaults to
             :data:`DEFAULT_CHAOS_TIMEOUT` when a fault plan is present.  A
             successful shard slower than half of it counts as *slow*.
@@ -849,11 +851,8 @@ def align_batch_resilient(
     if shard_timeout is None and fault_plan is not None:
         shard_timeout = DEFAULT_CHAOS_TIMEOUT
 
-    pickling_failure = _pickling_failure(aligner) if workers > 1 else None
     journal = None
     if checkpoint is not None:
-        from ..serve.cache import aligner_fingerprint
-
         meta = {
             "aligner": aligner_fingerprint(aligner),
             "traceback": traceback,
@@ -868,37 +867,41 @@ def align_batch_resilient(
             meta.update(journal_meta)
         journal = CheckpointJournal(checkpoint, meta)
 
-    pool = WorkerPool(1 if pickling_failure else workers)
-    inline = not pool.process_mode
-    supervisor = _Supervisor(
-        aligner,
-        iter_shards(pairs, shard_size),
-        traceback=traceback,
-        validate=validate,
-        cross_check=cross_check,
-        retry=policy,
-        shard_timeout=shard_timeout,
-        plan=fault_plan,
-        journal=journal,
-        inline=inline,
-    )
-
+    shards = iter_shards(pairs, shard_size)
+    scope, pickling_failure = batch_pool(aligner, workers)
     telemetry = BatchTelemetry(
         workers=workers,
         shard_size=shard_size,
+        fallback_reason=pickling_failure,
         backend=getattr(getattr(aligner, "backend", None), "name", None),
     )
-    telemetry.executor = (
-        "resilient-inline" if inline else f"resilient-{pool.method}"
-    )
-    telemetry.fallback_reason = pickling_failure
     start = time.perf_counter()
     token = dsan.batch_begin()
     try:
-        with obs.span("batch.align_resilient", workers=workers):
+        with obs.span("batch.align_resilient", workers=workers), scope as pool:
+            inline = not pool.process_mode
+            telemetry.executor = (
+                "resilient-inline" if inline else f"resilient-{pool.method}"
+            )
+            if inline and fault_plan is not None and pickling_failure is None:
+                # Emulate the worker-copy semantics of process mode so
+                # injected state never leaks into the caller's aligner.  One
+                # worker skips the rule's pickling check: a copy may fail.
+                with contextlib.suppress(*_PICKLE_FAILURES):
+                    aligner = pickle.loads(pickle.dumps(aligner))
+            supervisor = _Supervisor(
+                shards,
+                traceback=traceback,
+                validate=validate,
+                cross_check=cross_check,
+                retry=policy,
+                shard_timeout=shard_timeout,
+                plan=fault_plan,
+                journal=journal,
+                inline=inline,
+            )
             _drive(supervisor, pool, aligner)
     finally:
-        pool.close()
         dsan.batch_end(token, "align_batch_resilient")
     obs.inc("batch.resilient_runs")
     batch = supervisor.assemble(telemetry)
@@ -930,14 +933,6 @@ def _drive(supervisor: _Supervisor, pool: WorkerPool, aligner: Aligner) -> None:
     attempt's deadline starts when the attempt does.
     """
     slots = pool.workers if pool.process_mode else 1
-    if (
-        not pool.process_mode
-        and supervisor.plan is not None
-        and _pickling_failure(aligner) is None
-    ):
-        # Emulate the worker-copy semantics of process mode so injected
-        # state never leaks into the caller's aligner.
-        aligner = pickle.loads(pickle.dumps(aligner))
     active: List[_Attempt] = []
     while True:
         now = time.monotonic()

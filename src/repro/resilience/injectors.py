@@ -14,7 +14,8 @@ Three layers, three mechanisms:
   under it (slow), or poison its reply so it cannot be pickled back.
 * **data** — :func:`corrupt_pair` mutates the in-flight copy of a shard's
   pair (truncation or a garbled character); the parent detects the
-  corruption by comparing :func:`pair_checksum` values computed
+  corruption by comparing
+  :func:`~repro.align.parallel.shard_checksum` values computed
   independently on both sides of the transport.
 
 Every injector draws all its choices from the spec's private seed, so a
@@ -25,29 +26,16 @@ from __future__ import annotations
 
 import random
 import time
-import zlib
 from typing import List, Optional, Sequence, Tuple
 
+# The checksums live with the shards they check; re-exported here.
+from ..align.parallel import pair_checksum as pair_checksum
+from ..align.parallel import shard_checksum as shard_checksum
 from .faults import FaultSpec, InjectedCrashError
 
 #: Alphabet used when substituting a corrupted character (the realistic
 #: silent-corruption shape: still a valid base, just the wrong one).
 _BASES = "ACGT"
-
-
-def pair_checksum(pattern: str, text: str) -> int:
-    """Order-sensitive checksum of one pair (CRC32 over both sequences)."""
-    return zlib.crc32(pattern.encode() + b"\x00" + text.encode())
-
-
-def shard_checksum(pairs: Sequence[Tuple[str, str]]) -> int:
-    """Order-sensitive checksum of a shard's pairs (folded pair CRCs)."""
-    checksum = 0
-    for pattern, text in pairs:
-        checksum = (
-            checksum * 1000003 + pair_checksum(pattern, text)
-        ) & 0xFFFFFFFF
-    return checksum
 
 
 class HardwareFaultInjector:

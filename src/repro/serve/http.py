@@ -22,9 +22,10 @@ Endpoints:
     The full :meth:`AlignmentService.metrics_snapshot` — obs registry,
     cache hit-rate, queue depth, coalescing and pool gauges.
 
-The server is a stdlib :class:`~http.server.ThreadingHTTPServer`; each
-connection gets a handler thread, and all of them funnel into the one
-shared service (whose coalescer packs their concurrent requests into
+The server is a stdlib :class:`~http.server.ThreadingHTTPServer` (the
+JSON base in :mod:`repro.common.jsonhttp`, shared with the dist node);
+each connection gets a handler thread, and all of them funnel into the
+one shared service (whose coalescer packs their concurrent requests into
 shards).
 """
 
@@ -32,11 +33,10 @@ from __future__ import annotations
 
 import contextlib
 import json
-import threading
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
+from ..common.jsonhttp import JsonHTTPServer, JsonRequestHandler, serving
 from ..obs import runtime as obs
 from .ratelimit import RateLimitedError
 from .service import AlignmentService, ServeError, ServiceSaturatedError
@@ -89,26 +89,16 @@ def _parse_align_request(body: bytes) -> Tuple[List[Tuple[str, str]], bool]:
     return [(pattern, text)], traceback
 
 
-class AlignmentRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP traffic into the shared :class:`AlignmentService`.
+class AlignmentRequestHandler(JsonRequestHandler):
+    """Routes HTTP traffic into the shared :class:`AlignmentService`;
+    each response leaves in one write."""
 
-    Each response leaves in one write: ``wfile`` is buffered, so the
-    headers and the body go out together when ``handle_one_request``
-    flushes.  Sent as two writes, the body would wait on Nagle's
-    algorithm for the client's delayed ACK of the headers (~40 ms).
-    """
-
-    protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
-    wbufsize = -1
-    disable_nagle_algorithm = True
+    max_body_bytes = MAX_BODY_BYTES
 
     @property
     def service(self) -> AlignmentService:
         return self.server.service  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        """Silence per-request stderr logging; obs metrics cover it."""
 
     def _client_id(self) -> str:
         """Rate-limit key: ``X-Client-Id`` header, else the peer address."""
@@ -133,18 +123,9 @@ class AlignmentRequestHandler(BaseHTTPRequestHandler):
             self._handle_align()
 
     def _handle_align(self) -> None:
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = -1
-        if length <= 0 or length > MAX_BODY_BYTES:
-            self._send_json(
-                400,
-                {"error": "Content-Length required and <= "
-                          f"{MAX_BODY_BYTES} bytes"},
-            )
+        body = self._read_body()
+        if body is None:
             return
-        body = self.rfile.read(length)
         try:
             pairs, traceback = _parse_align_request(body)
             limiter = self.service.rate_limiter
@@ -192,28 +173,9 @@ class AlignmentRequestHandler(BaseHTTPRequestHandler):
             },
         )
 
-    def _send_json(
-        self,
-        code: int,
-        payload: dict,
-        *,
-        headers: Optional[dict] = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
 
-
-class AlignmentHTTPServer(ThreadingHTTPServer):
+class AlignmentHTTPServer(JsonHTTPServer):
     """Threaded HTTP server bound to one :class:`AlignmentService`."""
-
-    daemon_threads = True
-    allow_reuse_address = True
 
     def __init__(
         self,
@@ -237,16 +199,5 @@ def running_server(
     the *service* lifecycle stays with the caller.
     """
     server = AlignmentHTTPServer((host, port), service)
-    thread = threading.Thread(
-        target=server.serve_forever,
-        name="repro-serve-http",
-        daemon=True,
-    )
-    thread.start()
-    bound_host, bound_port = server.server_address[0], server.server_address[1]
-    try:
-        yield server, f"http://{bound_host}:{bound_port}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join()
+    with serving(server, "repro-serve-http") as base_url:
+        yield server, base_url

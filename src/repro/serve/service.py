@@ -43,24 +43,18 @@ from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..align.base import Aligner, KernelStats
+from ..align.base import Aligner, KernelStats, aligner_fingerprint
 from ..align.full_gmx import FullGmxAligner
 from ..align.parallel import (
     WorkerLost,
-    WorkerPool,
     _absorb_obs_buffers,
     _align_shard,
     _InlineHandle,
-    _pickling_failure,
+    owned_pool,
 )
 from ..obs import runtime as obs
 from ..obs.tracing import SpanRecorder
-from .cache import (
-    AlignmentCache,
-    CachedAlignment,
-    aligner_fingerprint,
-    pair_key,
-)
+from .cache import AlignmentCache, CachedAlignment, pair_key
 from .coalescer import Coalescer, PendingPair
 
 
@@ -189,16 +183,11 @@ class AlignmentService:
             raise ServeError(
                 f"coalesce_max_pairs must be >= 1, got {self.config.coalesce_max_pairs}"
             )
-        self.fallback_reason: Optional[str] = None
-        workers = self.config.workers
-        if workers > 1:
-            failure = _pickling_failure(self.aligner)
-            if failure is not None:
-                # The aligner cannot cross the process boundary; serve
-                # inline rather than fail every request at dispatch.
-                self.fallback_reason = failure
-                workers = 1
-        self.pool = WorkerPool(workers)
+        # An aligner that cannot cross the process boundary is served
+        # inline rather than failing every request at dispatch.
+        self.pool, self.fallback_reason = owned_pool(
+            self.aligner, self.config.workers
+        )
         self.cache = AlignmentCache(self.config.cache_size)
         # Imported here, not at module top: ratelimit derives its error
         # from ServeError, so the modules would import-cycle otherwise.

@@ -506,8 +506,14 @@ def predict_pair_cost(aligner, n: int, m: int, *, traceback: bool = True) -> int
             stats = predict_banded_gmx(
                 n, m, traceback=traceback, tile_size=tile
             )
-        elif name == "WindowedAligner":
-            stats = predict_windowed_gmx(n, m, tile_size=tile)
+        elif name == "WindowedGmxAligner":
+            stats = predict_windowed_gmx(
+                n,
+                m,
+                window=aligner.window,
+                overlap=aligner.overlap,
+                tile_size=tile,
+            )
         elif name == "NeedlemanWunschAligner":
             stats = predict_nw(n, m, traceback=traceback)
         elif name == "BpmAligner":

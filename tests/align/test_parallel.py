@@ -29,6 +29,7 @@ from repro.align import (
 from repro.align.batch import SHARDS_IN_FLIGHT_PER_WORKER
 from repro.align.parallel import close_shared_pool, shared_pool_pids
 from repro.baselines import NeedlemanWunschAligner
+from repro.resilience import FaultPlan, FaultSpec, align_batch_resilient
 from repro.workloads import generate_pair_set, save_pairs
 from repro.workloads.seqio import iter_pairs
 
@@ -37,6 +38,11 @@ WORKER_COUNTS = (1, 2, 4)
 needs_processes = pytest.mark.skipif(
     not multiprocessing.get_all_start_methods(),
     reason="no multiprocessing start method available",
+)
+
+#: Both batch engines check the warm pool out under the same rule.
+both_engines = pytest.mark.parametrize(
+    "engine", (align_batch, align_batch_resilient), ids=("plain", "resilient")
 )
 
 
@@ -285,27 +291,28 @@ class TestLostWorker:
     def test_killed_worker_raises_and_the_warm_pool_recovers(self):
         pairs = [(p.pattern, p.text) for p in _dataset(count=40)]
         serial = align_batch(FullGmxAligner(), pairs)
-        with WorkerPool(2) as pool:
-            victim = pool.worker_pids()[0]
+        align_batch(FullGmxAligner(), pairs, workers=2, shard_size=3)
+        victim = min(shared_pool_pids())
 
-            def feed():
-                for index, pair in enumerate(pairs):
-                    if index == 16:  # shards 0-7 cut, the window is busy
-                        os.kill(victim, signal.SIGKILL)
-                    yield pair
+        def feed():
+            for index, pair in enumerate(pairs):
+                if index == 16:  # shards 0-7 cut, the window is busy
+                    os.kill(victim, signal.SIGKILL)
+                yield pair
 
-            started = time.monotonic()
-            with _deadline(30), pytest.raises(WorkerLost):
-                align_batch(_SlowAligner(), feed(), shard_size=2, pool=pool)
-            assert time.monotonic() - started < 5
-            assert pool.rebuilds == 1
-            with _deadline(60):
-                batch = align_batch(
-                    FullGmxAligner(), pairs, shard_size=3, pool=pool
-                )
+        started = time.monotonic()
+        with _deadline(30), pytest.raises(WorkerLost):
+            align_batch(_SlowAligner(), feed(), workers=2, shard_size=2)
+        assert time.monotonic() - started < 5
+        assert multiprocessing.active_children() == []
+        with _deadline(60):
+            batch = align_batch(
+                FullGmxAligner(), pairs, workers=2, shard_size=3
+            )
         assert batch.results == serial.results
         assert batch.stats == serial.stats
-        assert batch.telemetry.executor == pool.method
+        assert batch.telemetry.executor == "fork"
+        assert victim not in shared_pool_pids()
 
     def test_aligner_killing_its_worker_raises_and_leaks_nothing(self):
         pairs = [(p.pattern, p.text) for p in _dataset(count=12)]
@@ -357,19 +364,20 @@ def _child_pids():
 
 @needs_processes
 class TestSharedPool:
-    """``align_batch(workers=N)`` with no ``pool=`` checks out this
+    """A batch of either engine with ``workers=N`` checks out this
     process's one warm pool, which outlives the batch but never the
     process."""
 
     def _pairs(self, count=12):
         return [(p.pattern, p.text) for p in _dataset(count=count)]
 
-    def test_consecutive_batches_run_on_the_same_workers(self):
+    @both_engines
+    def test_consecutive_batches_run_on_the_same_workers(self, engine):
         pairs = self._pairs(8)
         serial = align_batch(FullGmxAligner(), pairs)
         # A sleeping shard keeps its worker busy, so both workers run one.
-        first = align_batch(_SlowAligner(), pairs, workers=2, shard_size=1)
-        second = align_batch(_SlowAligner(), pairs, workers=2, shard_size=1)
+        first = engine(_SlowAligner(), pairs, workers=2, shard_size=1)
+        second = engine(_SlowAligner(), pairs, workers=2, shard_size=1)
         assert len(_shard_pids(first)) == 2
         assert _shard_pids(second) == _shard_pids(first)
         for batch in (first, second):
@@ -393,13 +401,24 @@ class TestSharedPool:
             assert batch.stats == serial.stats
 
     @pytest.mark.parametrize(
-        "error", (ValueError, RuntimeError, KeyboardInterrupt),
-        ids=("aligner", "stream", "interrupt"),
+        "engine, error",
+        (
+            (align_batch, ValueError),
+            (align_batch, RuntimeError),
+            (align_batch, KeyboardInterrupt),
+            # The resilient engine retries an aligner error, not raises it.
+            (align_batch_resilient, RuntimeError),
+            (align_batch_resilient, KeyboardInterrupt),
+        ),
+        ids=(
+            "aligner", "stream", "interrupt",
+            "resilient-stream", "resilient-interrupt",
+        ),
     )
-    def test_a_raising_batch_leaves_no_worker(self, error):
+    def test_a_raising_batch_leaves_no_worker(self, engine, error):
         pairs = self._pairs()
         serial = align_batch(FullGmxAligner(), pairs)
-        align_batch(FullGmxAligner(), pairs, workers=2, shard_size=2)
+        engine(FullGmxAligner(), pairs, workers=2, shard_size=2)
         assert shared_pool_pids()
 
         def broken_stream():
@@ -411,15 +430,54 @@ class TestSharedPool:
         else:
             aligner, feed = FullGmxAligner(), broken_stream()
         with _deadline(30), pytest.raises(error):
-            align_batch(aligner, feed, workers=2, shard_size=2)
+            engine(aligner, feed, workers=2, shard_size=2)
         assert multiprocessing.active_children() == []
         assert shared_pool_pids() == frozenset()
-        again = align_batch(FullGmxAligner(), pairs, workers=2, shard_size=2)
+        again = engine(FullGmxAligner(), pairs, workers=2, shard_size=2)
         assert again.results == serial.results
         assert again.stats == serial.stats
 
+    @both_engines
+    def test_a_bad_shard_size_is_rejected_before_the_pool(self, engine):
+        pairs = self._pairs(4)
+        engine(FullGmxAligner(), pairs, workers=2, shard_size=2)
+        warm = shared_pool_pids()
+        with pytest.raises(ValueError, match="shard size"):
+            engine(FullGmxAligner(), pairs, workers=2, shard_size=0)
+        assert shared_pool_pids() == warm
+
+    def test_a_resilient_deadline_puts_the_rebuilt_pool_back(self):
+        pairs = self._pairs(6)
+        serial = align_batch(FullGmxAligner(), pairs)
+        align_batch(FullGmxAligner(), pairs, workers=2, shard_size=2)
+        before = shared_pool_pids()
+        plan = FaultPlan(
+            seed=0,
+            pair_count=len(pairs),
+            faults=(
+                FaultSpec(fault_id=0, layer="worker", kind="hang",
+                          pair_index=0, seed=5),
+            ),
+        )
+        with _deadline(60):
+            hung = align_batch_resilient(
+                FullGmxAligner(), pairs, workers=2, shard_size=2,
+                fault_plan=plan, shard_timeout=0.3,
+            )
+        assert hung.telemetry.resilience.timeouts == 1
+        rebuilt = shared_pool_pids()
+        # The deadline rebuilt the checked-out pool; the batch put it back.
+        assert len(rebuilt) == 2 and not rebuilt & before
+        with _deadline(60):
+            after = align_batch(_SlowAligner(), pairs, workers=2, shard_size=1)
+        assert _shard_pids(after) == rebuilt == shared_pool_pids()
+        for batch in (hung, after):
+            assert batch.results == serial.results
+            assert batch.stats == serial.stats
+
+    @both_engines
     def test_a_main_class_redefined_between_batches_runs_as_redefined(
-        self, monkeypatch
+        self, engine, monkeypatch
     ):
         pairs = self._pairs(6)
         serial = align_batch(FullGmxAligner(), pairs)
@@ -439,10 +497,10 @@ class TestSharedPool:
             return Shifted()
 
         with _deadline(60):
-            first = align_batch(define(1), pairs, workers=2, shard_size=2)
-            second = align_batch(define(2), pairs, workers=2, shard_size=2)
+            first = engine(define(1), pairs, workers=2, shard_size=2)
+            second = engine(define(2), pairs, workers=2, shard_size=2)
         for offset, batch in ((1, first), (2, second)):
-            assert batch.telemetry.executor == "fork"
+            assert batch.telemetry.executor.endswith("fork")
             assert [r.score for r in batch.results] == [
                 r.score + offset for r in serial.results
             ]

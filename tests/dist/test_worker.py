@@ -10,7 +10,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from repro.align import FullGmxAligner
+from repro.align import FullGmxAligner, align_batch
 from repro.dist import DistWorker, ShardCompletion, ShardRequest, running_worker
 from repro.resilience.injectors import shard_checksum
 from repro.serve.cache import aligner_fingerprint
@@ -206,6 +206,28 @@ def test_pool_worker_killed_mid_shard_answers_500_then_recovers(tmp_path):
     assert completion.results == [
         FullGmxAligner().align(p, t) for p, t in healthy
     ]
+
+
+def test_unpicklable_aligner_is_aligned_inline_and_named_in_health():
+    # Local, so the REPRO004 lint's walk over Aligner subclasses skips it.
+    class Unpicklable(FullGmxAligner):
+        def __init__(self):
+            super().__init__()
+            self.hook = lambda result: result  # defeats pickling
+
+    aligner = Unpicklable()
+    pairs = _pairs()
+    serial = align_batch(FullGmxAligner(), pairs)
+    with running_worker(aligner, node="n3", workers=2) as (_worker, url):
+        client = _Client(url)
+        status, body = client.post("/shard", _request(aligner, pairs).to_json())
+        _, health = client.get("/health")
+        client.close()
+    assert status == 200, body
+    assert ShardCompletion.from_json(body).results == serial.results
+    health = json.loads(health)
+    assert health["executor"] == "serial"
+    assert "Unpicklable is not picklable" in health["fallback_reason"]
 
 
 def test_direct_execute_checks_fingerprint():

@@ -12,7 +12,6 @@ from repro.align import (
     PoolError,
     WorkerLost,
     WorkerPool,
-    align_batch,
 )
 from repro.align.parallel import _align_shard
 from repro.workloads import generate_pair_set
@@ -149,59 +148,3 @@ class TestLossCheck:
         pool.close()
         results, *_ = pool.wait(handle, timeout=0)
         assert len(results) == 2
-
-
-class TestSharedPoolBatchAPI:
-    """align_batch rides an external warm pool without owning it."""
-
-    @needs_processes
-    def test_external_pool_results_identical_and_pool_survives(self):
-        pair_set = generate_pair_set("shared", 72, 0.08, 10, seed=21)
-        pairs = [(p.pattern, p.text) for p in pair_set]
-        aligner = FullGmxAligner()
-        serial = align_batch(aligner, pairs)
-
-        with WorkerPool(2) as pool:
-            generation = pool.generation
-            first = align_batch(
-                aligner, pairs, shard_size=3, pool=pool
-            )
-            second = align_batch(
-                aligner, pairs, shard_size=3, pool=pool
-            )
-            # The batch borrowed the pool: no churn, still open.
-            assert pool.generation == generation
-            assert not pool.closed
-
-        for batch in (first, second):
-            assert [(r.score, r.cigar) for r in batch.results] == [
-                (r.score, r.cigar) for r in serial.results
-            ]
-            assert batch.stats == serial.stats
-            assert batch.telemetry.executor == pool.method
-
-    def test_inline_external_pool_falls_back_serially(self):
-        pair_set = generate_pair_set("shared-inline", 48, 0.08, 6, seed=22)
-        pairs = [(p.pattern, p.text) for p in pair_set]
-        aligner = FullGmxAligner()
-        serial = align_batch(aligner, pairs)
-        with WorkerPool(1) as pool:
-            batch = align_batch(aligner, pairs, pool=pool)
-        assert [(r.score, r.cigar) for r in batch.results] == [
-            (r.score, r.cigar) for r in serial.results
-        ]
-        assert batch.telemetry.executor == "serial"
-
-    @needs_processes
-    def test_closed_external_pool_degrades_inline(self):
-        pair_set = generate_pair_set("shared-closed", 48, 0.08, 4, seed=23)
-        pairs = [(p.pattern, p.text) for p in pair_set]
-        aligner = FullGmxAligner()
-        pool = WorkerPool(2)
-        pool.close()
-        batch = align_batch(aligner, pairs, pool=pool)
-        serial = align_batch(aligner, pairs)
-        assert [(r.score, r.cigar) for r in batch.results] == [
-            (r.score, r.cigar) for r in serial.results
-        ]
-        assert batch.telemetry.executor == "inline"

@@ -68,6 +68,20 @@ print("loaded:", loaded)
     assert "loaded: []" in child.stdout
 
 
+def test_dist_imports_no_serve_module():
+    """The dist node and coordinator take the aligner fingerprint and the
+    shard checksum from the align layer, not from the serving stack."""
+    child = run_without_numpy(
+        """
+import repro.dist
+
+print("serve:", sorted(name for name in sys.modules if name.startswith("repro.serve")))
+"""
+    )
+    assert child.returncode == 0, child.stderr
+    assert "serve: []" in child.stdout
+
+
 def test_repro_help_runs_without_numpy():
     child = run_without_numpy(
         "import runpy; runpy.run_module('repro', run_name='__main__')", "--help"
