@@ -21,8 +21,11 @@
 # the repro container ships without them; CI installs both), the
 # `dispatch-lint` grep (`apply_async`/`imap` may appear in src/repro only
 # in align/parallel.py, so `WorkerPool.submit` stays the one way a shard
-# is dispatched) and always finishes with the in-tree static analyzer,
-# `repro lint`.
+# is dispatched), the `obs-lint` grep (`.enable(` may appear in src/repro
+# only in obs/, cli.py for `repro profile`, and the sanitizer's planted
+# violation in analysis/sanitizer/sancorpus.py, so library code never
+# arms recording itself) and always finishes with the in-tree static
+# analyzer, `repro lint`.
 # `sanitize` runs the concurrency & determinism sanitizer: the
 # worker-reachability scan plus guarded/shadow execution (`repro
 # sanitize`), its violation-corpus self-check (which must exit non-zero),
@@ -50,7 +53,7 @@ PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 COV_MIN ?= 80
 
-.PHONY: test test-fast test-slow test-chaos test-cov test-backends bench verify lint dispatch-lint sanitize serve-test dist-test stream-test
+.PHONY: test test-fast test-slow test-chaos test-cov test-backends bench verify lint dispatch-lint obs-lint sanitize serve-test dist-test stream-test
 
 test:
 	$(PYTEST) -x -q
@@ -130,7 +133,7 @@ sanitize:
 		tests/analysis/test_sarif.py
 	$(PYTEST) -q tests/conformance --sanitize
 
-lint: dispatch-lint
+lint: dispatch-lint obs-lint
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check src tests; \
 	else \
@@ -147,5 +150,12 @@ dispatch-lint:
 	@if grep -rnE 'apply_async|\bimap' src/repro --include='*.py' \
 			| grep -v '^src/repro/align/parallel\.py:'; then \
 		echo "dispatch shards through WorkerPool.submit (align/parallel.py)" >&2; \
+		exit 1; \
+	fi
+
+obs-lint:
+	@if grep -rn '\.enable(' src/repro --include='*.py' \
+			| grep -vE '^src/repro/(obs/|cli\.py:|analysis/sanitizer/sancorpus\.py:)'; then \
+		echo "only a caller arms repro.obs (obs/, cli.py, the sanitizer corpus)" >&2; \
 		exit 1; \
 	fi

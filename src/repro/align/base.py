@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, List, Optional
 
 from ..core.cigar import Alignment
@@ -257,9 +257,10 @@ class BandExceededError(AlignerError):
 class ResilienceCounters:
     """Fault/recovery accounting of one batch run.
 
-    Populated by :mod:`repro.resilience` (and, for the picklability
-    fallback, by :mod:`repro.align.parallel`).  Every counter is a simple
-    sum, so merging campaign shards or reading a checkpoint journal can
+    Populated by :mod:`repro.resilience`, whose batch feeds it to a
+    recording :mod:`repro.obs` registry once, at its end, as
+    ``resilience.<field>`` counters.  Every counter is a simple sum, so
+    merging campaign shards or reading a checkpoint journal can
     accumulate records without ordering concerns.
 
     Attributes:
@@ -299,18 +300,4 @@ class ResilienceCounters:
 
     def to_dict(self) -> dict:
         """Plain-dict form for JSON artifacts and journal headers."""
-        return {
-            "faults_injected": self.faults_injected,
-            "faults_detected": self.faults_detected,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "crashes": self.crashes,
-            "cross_check_mismatches": self.cross_check_mismatches,
-            "data_faults": self.data_faults,
-            "slow_shards": self.slow_shards,
-            "bisections": self.bisections,
-            "fallbacks": self.fallbacks,
-            "quarantined_pairs": self.quarantined_pairs,
-            "checkpoints_written": self.checkpoints_written,
-            "shards_resumed": self.shards_resumed,
-        }
+        return asdict(self)

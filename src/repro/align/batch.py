@@ -36,6 +36,7 @@ from .parallel import (
     _absorb_obs_buffers,
     _align_shard,
     batch_pool,
+    executor_label,
     iter_shards,
 )
 
@@ -199,8 +200,7 @@ def align_batch(
             telemetry = BatchTelemetry(
                 workers=workers,
                 shard_size=shard_size,
-                executor=runner.method
-                or ("inline" if workers > 1 else "serial"),
+                executor=executor_label(workers, runner),
                 fallback_reason=pickling_failure,
                 backend=getattr(
                     getattr(aligner, "backend", None), "name", None

@@ -32,8 +32,9 @@ with :class:`WorkerLost`; the supervised engine
 
 One executor rule (:func:`_executor_rule`) picks every pool: inline for
 one worker or an aligner that cannot be pickled, whose failure is the
-``fallback_reason``.  The service and the dist node keep that pool for
-their lifetime (:func:`owned_pool`).  A batch of either engine
+``fallback_reason``, and :func:`executor_label` names the outcome the
+same way for every owner.  The service and the dist node keep that pool
+for their lifetime (:func:`owned_pool`).  A batch of either engine
 (:func:`batch_pool`) otherwise runs on a pool of its own when the
 aligner's pickle names ``__main__`` (see below), and on this process's
 warm pool, checked out for the batch, in every other case
@@ -143,8 +144,9 @@ class BatchTelemetry:
         workers: worker processes requested (1 = in-process).
         shard_size: maximum pairs per shard.
         wall_seconds: end-to-end batch wall time in the parent.
-        executor: how shards ran (``serial``, ``inline``, ``fork``,
-            ``spawn``, ``forkserver``, or ``resilient-*`` variants).
+        executor: how shards ran (:func:`executor_label`: ``serial``,
+            ``inline``, ``fork``, ``spawn``, ``forkserver``, or their
+            ``resilient-*`` variants).
         shards: per-shard measurements, in input order.
         fallback_reason: why a multi-worker run degraded to the in-process
             executor (e.g. the concrete pickling failure of the aligner);
@@ -270,6 +272,34 @@ def shard_checksum(pairs: Sequence[Tuple[str, str]]) -> int:
 ObsBuffers = Tuple[List[dict], Optional[dict]]
 
 
+@dataclass
+class _Capture:
+    """A shard's obs buffers, filled when its :func:`_captured` block ends."""
+
+    buffers: ObsBuffers = field(default_factory=lambda: ([], None))
+
+
+@contextlib.contextmanager
+def _captured(want_obs: bool) -> Iterator[_Capture]:
+    """Capture what one shard body records, for its reply.
+
+    A shard runs in a worker process or in the parent (inline executors).
+    In a worker asked for observability (``want_obs``, sent by an enabled
+    parent), the spans and metrics the block records are captured locally
+    and come back as picklable buffers (see
+    :meth:`repro.obs.SpanRecorder.drain`) for the parent to absorb with
+    :func:`_absorb_obs_buffers`.  In the parent, recording already
+    targets the parent's recorder, and the buffers stay empty.
+    """
+    capture = _Capture()
+    if want_obs and not obs.owns_recorder():
+        with obs.capture() as (recorder, registry):
+            yield capture
+        capture.buffers = (recorder.drain(), registry.snapshot().to_dict())
+    else:
+        yield capture
+
+
 def _run_shard_pairs(
     aligner: Aligner,
     shard: List[Tuple[str, str]],
@@ -294,25 +324,14 @@ def _align_shard(
 
     Module-level so it pickles under every multiprocessing start method.
     The last payload element asks the worker to capture observability for
-    an enabled parent: spans and metrics recorded during the shard come
-    back as picklable buffers (see :meth:`repro.obs.SpanRecorder.drain`)
-    and the parent absorbs them into its own trace.  When the shard runs
-    in the parent process (inline/serial executors), recording already
-    targets the parent's recorder and the buffers stay empty.
+    an enabled parent (see :func:`_captured`).
     """
     aligner, shard, traceback, validate, want_obs = payload
     start = time.perf_counter()
-    buffers: ObsBuffers = ([], None)
-    if want_obs and not obs.owns_recorder():
-        with obs.capture() as (recorder, registry):
-            results, stats = _run_shard_pairs(
-                aligner, shard, traceback, validate
-            )
-        buffers = (recorder.drain(), registry.snapshot().to_dict())
-    else:
+    with _captured(want_obs) as capture:
         results, stats = _run_shard_pairs(aligner, shard, traceback, validate)
     elapsed = time.perf_counter() - start
-    return results, stats, elapsed, f"pid:{os.getpid()}", buffers
+    return results, stats, elapsed, f"pid:{os.getpid()}", capture.buffers
 
 
 def _pickling_failure(aligner: Aligner) -> Optional[str]:
@@ -528,13 +547,6 @@ class WorkerPool:
         return self._method is not None
 
     @property
-    def executor(self) -> str:
-        """Executor label for :class:`BatchTelemetry` (method or inline)."""
-        if self._method is not None:
-            return self._method
-        return "serial" if self.workers == 1 else "inline"
-
-    @property
     def closed(self) -> bool:
         return self._closed
 
@@ -722,6 +734,15 @@ def _executor_rule(aligner: Aligner, workers: int) -> Tuple[str, Optional[str]]:
     if reason is not None:
         return "inline", reason
     return ("own" if _names_main(aligner) else "warm"), None
+
+
+def executor_label(workers: int, pool: WorkerPool) -> str:
+    """How ``pool`` runs a request for ``workers`` workers: ``serial`` for
+    one worker, ``inline`` for more that run in process (the executor
+    rule's fallback), the start method otherwise."""
+    if pool.method is not None:
+        return pool.method
+    return "serial" if workers == 1 else "inline"
 
 
 def owned_pool(aligner: Aligner, workers: int) -> Tuple[WorkerPool, Optional[str]]:

@@ -984,7 +984,7 @@ def _cmd_serve(args) -> int:
         host, port = server.server_address[0], server.server_address[1]
         print(
             f"serving {args.algorithm} on http://{host}:{port} "
-            f"(workers={service.pool.workers} executor={service.pool.executor} "
+            f"(workers={service.pool.workers} executor={service.executor} "
             f"cache={args.cache_size} max_inflight={args.max_inflight})"
         )
         print("endpoints: POST /align, GET /health, GET /metrics — Ctrl-C stops")

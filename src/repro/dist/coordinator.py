@@ -41,7 +41,7 @@ import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import urlsplit
 
@@ -211,7 +211,7 @@ class DistCounters:
     journal_writes: int = 0
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return asdict(self)
 
 
 @dataclass

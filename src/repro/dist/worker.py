@@ -38,7 +38,12 @@ import time
 from typing import Iterator, Tuple
 
 from ..align.base import Aligner, aligner_fingerprint
-from ..align.parallel import _align_shard, owned_pool, shard_checksum
+from ..align.parallel import (
+    _align_shard,
+    executor_label,
+    owned_pool,
+    shard_checksum,
+)
 from ..common.jsonhttp import JsonHTTPServer, JsonRequestHandler, serving
 from .protocol import (
     DistError,
@@ -66,6 +71,7 @@ class DistWorker:
         self.node = node
         self.incarnation = incarnation
         self.pool, self.fallback_reason = owned_pool(aligner, workers)
+        self.executor = executor_label(workers, self.pool)
         self.fingerprint = aligner_fingerprint(aligner)
         self._lock = threading.Lock()
         self.shards_done = 0
@@ -82,7 +88,7 @@ class DistWorker:
             "node": self.node,
             "incarnation": self.incarnation,
             "workers": self.pool.workers,
-            "executor": self.pool.executor,
+            "executor": self.executor,
             "pool_generation": self.pool.generation,
             "fallback_reason": self.fallback_reason,
             "shards_done": done,

@@ -44,8 +44,8 @@ from .runtime import (
     enable,
     enabled,
     inc,
+    inc_record,
     metrics,
-    observe,
     observe_ns,
     recorder,
     span,
@@ -66,10 +66,10 @@ __all__ = [
     "enable",
     "enabled",
     "inc",
+    "inc_record",
     "load_profile",
     "merge_snapshots",
     "metrics",
-    "observe",
     "observe_ns",
     "recorder",
     "render_profile",

@@ -25,6 +25,7 @@ recorder and ships the buffer back (see
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import os
 from time import perf_counter_ns
@@ -109,10 +110,19 @@ def inc(name: str, value: int = 1) -> None:
         _METRICS.inc(name, value)
 
 
-def observe(name: str, value: float) -> None:
-    """Set a gauge (no-op while disabled)."""
+def inc_record(namespace: str, record) -> None:
+    """Add a dataclass record's int fields as ``<namespace>.<field>``
+    counters (no-op while disabled).
+
+    A run that keeps a counter record (``ResilienceCounters``,
+    ``StreamCounters``) feeds it here once, when it ends, so the registry
+    names each count exactly as the record's field.
+    """
     if ENABLED:
-        _METRICS.set_gauge(name, value)
+        for item in dataclasses.fields(record):
+            value = getattr(record, item.name)
+            if type(value) is int:
+                _METRICS.inc(f"{namespace}.{item.name}", value)
 
 
 def observe_ns(name: str, value_ns: int) -> None:

@@ -127,17 +127,10 @@ class SpanRecorder:
     Args:
         clock: nanosecond clock (injectable for deterministic tests;
             defaults to ``time.perf_counter_ns``).
-        retain: keep finished and absorbed spans.  A recorder built with
-            ``retain=False`` still nests and times spans but stores none,
-            for long-running processes that want metrics without an
-            ever-growing span buffer.
     """
 
-    def __init__(
-        self, clock: Optional[Callable[[], int]] = None, *, retain: bool = True
-    ):
+    def __init__(self, clock: Optional[Callable[[], int]] = None):
         self._clock = clock if clock is not None else perf_counter_ns
-        self._retain = retain
         self._lock = threading.Lock()
         self._local = threading.local()
         self._spans: List[Span] = []
@@ -178,8 +171,6 @@ class SpanRecorder:
                 f"span {live.name!r} closed out of order (open stack: {stack})"
             )
         stack.pop()
-        if not self._retain:
-            return
         parent = stack[-1] if stack else None
         tags = live.tags
         if failed:
@@ -230,11 +221,8 @@ class SpanRecorder:
 
         Parent links inside the buffer are preserved; ids are shifted into
         this recorder's id space so a merged trace never collides, no
-        matter how many workers contributed.  A non-retaining recorder
-        drops the buffer and adds nothing.
+        matter how many workers contributed.
         """
-        if not self._retain:
-            return 0
         spans = [Span.from_dict(entry) for entry in buffer]
         if not spans:
             return 0

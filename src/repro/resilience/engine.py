@@ -55,11 +55,14 @@ from ..align.batch import BatchResult, PairLike
 from ..align.parallel import (
     DEFAULT_SHARD_SIZE,
     BatchTelemetry,
+    ObsBuffers,
     ShardTelemetry,
     WorkerLost,
     WorkerPool,
     _absorb_obs_buffers,
+    _captured,
     batch_pool,
+    executor_label,
     iter_shards,
     shard_checksum,
 )
@@ -169,10 +172,9 @@ class _ShardReply:
     poison: bool
     fired: Tuple[int, ...]
     unfired: Tuple[int, ...]
-    #: Observability freight captured in the worker (drained span dicts +
-    #: metrics snapshot payload); absorbed by the supervisor on success.
-    spans: Tuple[dict, ...] = ()
-    metrics: Optional[dict] = None
+    #: Observability freight captured in the worker; absorbed by the
+    #: supervisor on success.
+    obs_buffers: ObsBuffers = field(default_factory=lambda: ([], None))
     #: Executing worker label (``pid:<n>``, or ``inline``).
     worker: str = "inline"
 
@@ -265,17 +267,13 @@ def _execute_item(aligner: Aligner, task: _ShardTask) -> _ShardReply:
 
     Runs in the worker (process mode) or in the parent (inline mode);
     raises on injected crashes and on any failed verification.  When the
-    parent has observability on (``task.obs``) and this attempt runs in a
-    worker process, the attempt's spans and metrics are captured locally
-    and shipped back inside the reply for the supervisor to absorb.
+    parent has observability on (``task.obs``), the reply carries what a
+    worker recorded (see :func:`~repro.align.parallel._captured`).
     """
-    if task.obs and not obs.owns_recorder():
-        with obs.capture() as (recorder, registry):
-            reply = _execute_item_body(aligner, task)
-        reply.spans = tuple(recorder.drain())
-        reply.metrics = registry.snapshot().to_dict()
-        return reply
-    return _execute_item_body(aligner, task)
+    with _captured(task.obs) as capture:
+        reply = _execute_item_body(aligner, task)
+    reply.obs_buffers = capture.buffers
+    return reply
 
 
 @contextlib.contextmanager
@@ -556,7 +554,6 @@ class _Supervisor:
             return False
         results, quarantined = stored
         self.counters.shards_resumed += 1
-        obs.inc("resilience.shards_resumed")
         if self.plan is not None:
             for spec in self.plan.for_pairs(item.lo, item.hi):
                 record = self.ledger[spec.fault_id]
@@ -589,7 +586,7 @@ class _Supervisor:
         self._on_success(item, payload)
 
     def _on_success(self, item: _WorkItem, reply: _ShardReply) -> None:
-        _absorb_obs_buffers((list(reply.spans), reply.metrics))
+        _absorb_obs_buffers(reply.obs_buffers)
         slow_hit = (
             self.slow_threshold is not None
             and reply.elapsed > self.slow_threshold
@@ -619,13 +616,11 @@ class _Supervisor:
         setattr(
             self.counters, counter, getattr(self.counters, counter) + 1
         )
-        obs.inc(f"resilience.{counter}")
         if item.armed:
             self.counters.faults_detected += len(item.armed)
         item.attempt += 1
         if item.attempt <= self.retry.max_retries:
             self.counters.retries += 1
-            obs.inc("resilience.retries")
             for spec in item.armed:
                 record = self.ledger[spec.fault_id]
                 record.outcome = "retried"
@@ -677,7 +672,6 @@ class _Supervisor:
                 result.alignment.validate()
         except Exception as exc:
             self.counters.quarantined_pairs += 1
-            obs.inc("resilience.quarantined_pairs")
             reason = (
                 f"primary: {failure.kind}: {failure.detail}; fallback "
                 f"{type(fallback).__name__}: "
@@ -703,7 +697,6 @@ class _Supervisor:
             )
             return
         self.counters.fallbacks += 1
-        obs.inc("resilience.fallbacks")
         for spec in targeting:
             record = self.ledger[spec.fault_id]
             record.outcome = "degraded"
@@ -880,9 +873,7 @@ def align_batch_resilient(
     try:
         with obs.span("batch.align_resilient", workers=workers), scope as pool:
             inline = not pool.process_mode
-            telemetry.executor = (
-                "resilient-inline" if inline else f"resilient-{pool.method}"
-            )
+            telemetry.executor = f"resilient-{executor_label(workers, pool)}"
             if inline and fault_plan is not None and pickling_failure is None:
                 # Emulate the worker-copy semantics of process mode so
                 # injected state never leaks into the caller's aligner.  One
@@ -904,6 +895,7 @@ def align_batch_resilient(
     finally:
         dsan.batch_end(token, "align_batch_resilient")
     obs.inc("batch.resilient_runs")
+    obs.inc_record("resilience", supervisor.counters)
     batch = supervisor.assemble(telemetry)
     telemetry.wall_seconds = time.perf_counter() - start
     return batch

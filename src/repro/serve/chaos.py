@@ -145,7 +145,7 @@ def run_serve_chaos(
                 killed_pid=None,
                 recoveries=service.shard_recoveries,
                 pool_generation=service.pool.generation,
-                executor=service.pool.executor,
+                executor=service.executor,
                 degraded_reason=(
                     "no process pool available; ran inline without a kill"
                 ),
@@ -174,5 +174,5 @@ def run_serve_chaos(
         killed_pid=victim,
         recoveries=service.shard_recoveries,
         pool_generation=service.pool.generation,
-        executor=service.pool.executor,
+        executor=service.executor,
     )

@@ -19,8 +19,9 @@ Endpoints:
     Liveness: status, uptime, pool shape.
 
 ``GET /metrics``
-    The full :meth:`AlignmentService.metrics_snapshot` — obs registry,
-    cache hit-rate, queue depth, coalescing and pool gauges.
+    The full :meth:`AlignmentService.metrics_snapshot` — request, cache,
+    queue, coalescing and pool counts, plus the obs registry while a
+    caller records.
 
 The server is a stdlib :class:`~http.server.ThreadingHTTPServer` (the
 JSON base in :mod:`repro.common.jsonhttp`, shared with the dist node);

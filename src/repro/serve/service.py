@@ -27,11 +27,12 @@ facade over it, and tests/benchmarks drive it directly.  One service owns:
 Results are **byte-identical to serial** :func:`~repro.align.batch.align_batch`
 — same scores, CIGARs, and per-pair :class:`~repro.align.base.KernelStats`
 — whether they came from a cold compute, a coalesced shard, the cache, or
-the crash-recovery path.  Observability (:mod:`repro.obs`) is armed at
-startup; worker span/metric buffers are absorbed on every shard
-completion, so pooled request metrics survive into ``/metrics`` and, under
-an outer ``obs.capture()``, request traces into trace exports.  When the
-service arms obs itself it keeps metrics only, never spans.
+the crash-recovery path.  The service counts its own work (requests,
+cache, queue, coalescing, pool) and never arms :mod:`repro.obs`: only a
+caller that records (an outer ``obs.capture()``, ``repro profile``) makes
+shards ship their worker span/metric buffers back, absorbed on every
+shard completion, so a traced request keeps its worker spans and
+``/metrics`` carries the caller's registry.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from ..align.parallel import (
     _absorb_obs_buffers,
     _align_shard,
     _InlineHandle,
+    executor_label,
     owned_pool,
 )
 from ..obs import runtime as obs
-from ..obs.tracing import SpanRecorder
 from .cache import AlignmentCache, CachedAlignment, pair_key
 from .coalescer import Coalescer, PendingPair
 
@@ -188,6 +189,7 @@ class AlignmentService:
         self.pool, self.fallback_reason = owned_pool(
             self.aligner, self.config.workers
         )
+        self.executor = executor_label(self.config.workers, self.pool)
         self.cache = AlignmentCache(self.config.cache_size)
         # Imported here, not at module top: ratelimit derives its error
         # from ServeError, so the modules would import-cycle otherwise.
@@ -213,13 +215,11 @@ class AlignmentService:
         self._lock = threading.Lock()
         self._inflight_pairs = 0
         self._pending: Dict[str, List[Future]] = {}
-        self._owns_obs = False
         self._started = False
         self._closed = False
         self._started_at = 0.0
         # Request accounting (all under self._lock).
         self.pairs_total = 0
-        self.pairs_cached = 0
         self.pairs_deduped = 0
         self.pairs_computed = 0
         self.pairs_rejected = 0
@@ -229,17 +229,11 @@ class AlignmentService:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> "AlignmentService":
-        """Warm the pool, arm observability, start the worker threads."""
+        """Warm the pool and start the worker threads."""
         if self._closed:
             raise ServiceClosedError("service is closed")
         if self._started:
             return self
-        if not obs.enabled():
-            # Self-armed obs feeds /metrics only: a service runs for hours,
-            # and nothing ever reads its spans, so none are kept.  An
-            # outer obs.capture() (a traced run) still records every span.
-            obs.enable(SpanRecorder(retain=False))
-            self._owns_obs = True
         self.pool.start()  # pay pool spin-up once, here, not per request
         self.coalescer.start()
         self._collector = threading.Thread(
@@ -267,9 +261,6 @@ class AlignmentService:
             if self._collector is not None:
                 self._collector.join()
         self.pool.close()
-        if self._owns_obs:
-            obs.disable()
-            self._owns_obs = False
 
     def __enter__(self) -> "AlignmentService":
         return self.start()
@@ -323,25 +314,17 @@ class AlignmentService:
             if entry is not None:
                 with self._lock:
                     self.pairs_total += 1
-                    self.pairs_cached += 1
-                obs.inc("serve.pairs")
-                obs.inc("serve.cache.hits")
                 future.set_result(self._from_cached(entry, cached=True))
                 return future
-            obs.inc("serve.cache.misses")
         with self._lock:
             self.pairs_total += 1
             if key is not None and key in self._pending:
                 # Identical pair already in flight: attach, don't recompute.
                 self._pending[key].append(future)
                 self.pairs_deduped += 1
-                obs.inc("serve.pairs")
-                obs.inc("serve.coalesce.deduped")
                 return future
             if self._inflight_pairs + 1 > self.config.max_inflight:
                 self.pairs_rejected += 1
-                obs.inc("serve.pairs")
-                obs.inc("serve.rejected")
                 raise ServiceSaturatedError(
                     self._inflight_pairs,
                     self.config.max_inflight,
@@ -350,8 +333,6 @@ class AlignmentService:
             self._inflight_pairs += 1
             if key is not None:
                 self._pending[key] = []
-            obs.inc("serve.pairs")
-            obs.observe("serve.queue.inflight_pairs", self._inflight_pairs)
         entry = PendingPair(
             pattern=pattern, text=text, group=traceback,
             future=future, key=key,
@@ -416,8 +397,6 @@ class AlignmentService:
         shard = [(entry.pattern, entry.text) for entry in batch]
         traceback = bool(batch[0].group)
         payload = (self.aligner, shard, traceback, False, obs.enabled())
-        obs.inc("serve.batches")
-        obs.observe("serve.coalesce.batch_pairs", len(batch))
         try:
             handle = self.pool.submit(_align_shard, payload)
         except Exception:  # noqa: BLE001 - degrade to inline execution
@@ -479,7 +458,6 @@ class AlignmentService:
         """
         with self._lock:
             self.shard_recoveries += 1
-        obs.inc("serve.pool.recoveries")
         try:
             return _align_shard(shard.payload)
         except Exception as exc:  # noqa: BLE001 - routed to the futures
@@ -502,9 +480,6 @@ class AlignmentService:
                     if entry.key is not None
                     else []
                 )
-                obs.observe(
-                    "serve.queue.inflight_pairs", self._inflight_pairs
-                )
             self._resolve(entry.future, self._from_cached(cached_entry))
             for waiter in waiters:
                 # Attached duplicates did no kernel work of their own.
@@ -525,7 +500,6 @@ class AlignmentService:
             self._reject(entry.future, exc)
             for waiter in waiters:
                 self._reject(waiter, exc)
-        obs.inc("serve.failed", len(batch))
 
     @staticmethod
     def _resolve(future: "Future[ServeResult]", result: ServeResult) -> None:
@@ -574,7 +548,7 @@ class AlignmentService:
             "status": status,
             "uptime_seconds": round(self.uptime_seconds, 3),
             "workers": self.pool.workers,
-            "executor": self.pool.executor,
+            "executor": self.executor,
             "pool_generation": self.pool.generation,
             "inflight_pairs": self.inflight_pairs,
         }
@@ -582,9 +556,10 @@ class AlignmentService:
     def metrics_snapshot(self) -> dict:
         """Full metrics payload for ``GET /metrics``.
 
-        Combines the live :mod:`repro.obs` metrics registry snapshot with
-        the serving layer's own gauges: cache, queue/admission, pool, and
-        request accounting.
+        The serving layer's own counts (cache, queue/admission,
+        coalescing, pool, request accounting, rate limit), plus under
+        ``metrics`` the active :mod:`repro.obs` registry's snapshot while
+        a caller records (``{}`` otherwise).
         """
         registry = obs.metrics()
         metrics = registry.snapshot().to_dict() if registry else {}
@@ -592,7 +567,7 @@ class AlignmentService:
             requests = {
                 "pairs": self.pairs_total,
                 "computed": self.pairs_computed,
-                "cached": self.pairs_cached,
+                "cached": self.cache.hits,
                 "deduped": self.pairs_deduped,
                 "rejected": self.pairs_rejected,
                 "failed": self.pairs_failed,
@@ -616,7 +591,7 @@ class AlignmentService:
             },
             "pool": {
                 "workers": self.pool.workers,
-                "executor": self.pool.executor,
+                "executor": self.executor,
                 "generation": self.pool.generation,
                 "rebuilds": self.pool.rebuilds,
                 "recoveries": self.shard_recoveries,

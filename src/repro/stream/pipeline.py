@@ -113,7 +113,9 @@ class StreamConfig:
 
 @dataclass
 class StreamCounters:
-    """Filter-stage accounting of one streamed alignment."""
+    """Filter-stage accounting of one streamed alignment (fed to a
+    recording :mod:`repro.obs` registry once, at the end of the run, as
+    ``stream.<field>`` counters)."""
 
     chunks: int = 0
     candidates: int = 0
@@ -220,7 +222,6 @@ class _JobPlanner:
                 drift = abs(vote.diagonal - self._last_diagonal)
                 if drift > self.config.diagonal_tolerance:
                     self.counters.spurious_skipped += 1
-                    obs.inc("stream.spurious")
                     accepted = False
             if not accepted:
                 if self._last_diagonal is not None:
@@ -237,11 +238,9 @@ class _JobPlanner:
                 job = self._make_job(parked, self._last_diagonal, 0)
                 if job is not None:
                     self.counters.holes_promoted += 1
-                    obs.inc("stream.holes_promoted")
                     yield from self._emit(job)
             self._hole.clear()
             self.counters.candidates += 1
-            obs.inc("stream.candidates")
             job = self._make_job(chunk, vote.diagonal, vote.votes)
             self._last_diagonal = vote.diagonal
             if job is not None:
@@ -313,7 +312,6 @@ class _JobPlanner:
         )
         self._order += 1
         self.counters.jobs += 1
-        obs.inc("stream.jobs")
         return job
 
 
@@ -432,6 +430,7 @@ def stream_align(
         stitched = stitcher.finish()
         timings.stitch_seconds = time.perf_counter() - stitch_start
         obs.inc("stream.runs")
+        obs.inc_record("stream", counters)
 
     return StreamResult(
         stitched=stitched,

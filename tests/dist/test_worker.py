@@ -226,7 +226,7 @@ def test_unpicklable_aligner_is_aligned_inline_and_named_in_health():
     assert status == 200, body
     assert ShardCompletion.from_json(body).results == serial.results
     health = json.loads(health)
-    assert health["executor"] == "serial"
+    assert health["executor"] == "inline"
     assert "Unpicklable is not picklable" in health["fallback_reason"]
 
 

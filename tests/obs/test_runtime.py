@@ -13,6 +13,13 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NOOP_SPAN, SpanRecorder
 
 
+@dataclass
+class Record:
+    hits: int = 0
+    misses: int = 0
+    label: str = ""
+
+
 @pytest.fixture(autouse=True)
 def obs_disabled_around_each_test():
     """Every test starts and ends with observability off."""
@@ -32,8 +39,16 @@ class TestSwitch:
 
     def test_disabled_metric_calls_are_noops(self):
         obs.inc("c")
-        obs.observe("g", 1.0)
+        obs.inc_record("r", Record())
         obs.observe_ns("h", 10)  # must not raise with no registry armed
+
+    def test_inc_record_adds_every_int_field_under_its_name(self):
+        _, registry = obs.enable()
+        obs.inc_record("r", Record(hits=3, label="skipped"))
+        obs.inc_record("r", Record(hits=2, misses=5))
+        assert registry.snapshot().counters == {
+            "r.hits": 5, "r.misses": 5,
+        }
 
     def test_enable_returns_live_pair(self):
         recorder, registry = obs.enable()

@@ -4,11 +4,14 @@ import multiprocessing
 import os
 import signal
 import time
+from dataclasses import fields
 
 import pytest
 
 from repro.align import AutoAligner, FullGmxAligner, WindowedAligner, align_batch
+from repro.align.base import ResilienceCounters
 from repro.align.batch import BatchResult
+from repro.obs import runtime as obs
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
@@ -99,7 +102,7 @@ class TestHealthyRuns:
         assert batch.stats == reference.stats
         assert batch.quarantined == []
         assert batch.ledger == []
-        assert batch.telemetry.executor == "resilient-inline"
+        assert batch.telemetry.executor == "resilient-serial"
 
     def test_empty_batch(self, aligner):
         batch = align_batch_resilient(aligner, [])
@@ -223,6 +226,37 @@ class TestDegradationChain:
         assert batch.quarantined[0].pattern == ""
         assert "fallback" in batch.quarantined[0].reason
         assert batch.telemetry.resilience.quarantined_pairs == 1
+
+
+class TestRegistryMirror:
+    def test_traced_batch_feeds_every_counter_under_its_field_name(
+        self, aligner, pairs, reference, tmp_path
+    ):
+        plan = _plan(
+            6,
+            FaultSpec(fault_id=0, layer="worker", kind="crash",
+                      pair_index=2, seed=5),
+            FaultSpec(fault_id=1, layer="worker", kind="hang",
+                      pair_index=0, seed=5),
+        )
+        with obs.capture() as (_recorder, registry):
+            batch = align_batch_resilient(
+                aligner, pairs, shard_size=2, fault_plan=plan,
+                shard_timeout=0.2, max_retries=2,
+                checkpoint=str(tmp_path / "run.journal"),
+            )
+        assert batch.results == reference.results
+        counters = batch.telemetry.resilience
+        assert counters.crashes >= 1 and counters.timeouts >= 1
+        mirrored = {
+            name: value
+            for name, value in registry.snapshot().counters.items()
+            if name.startswith("resilience.")
+        }
+        assert mirrored == {
+            f"resilience.{item.name}": getattr(counters, item.name)
+            for item in fields(ResilienceCounters)
+        }
 
 
 class TestCheckpointResume:

@@ -9,6 +9,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro.align import FullGmxAligner
+from repro.obs import runtime as obs
 from repro.serve import AlignmentService, ServeConfig, running_server
 from repro.workloads import generate_pair_set
 
@@ -121,7 +122,7 @@ def test_health_endpoint(server):
     assert status == 200
     assert payload["status"] == "ok"
     assert payload["workers"] == service.pool.workers
-    assert payload["executor"] == service.pool.executor
+    assert payload["executor"] == service.executor == "serial"
 
 
 def test_metrics_endpoint_exposes_cache_queue_and_obs(server):
@@ -136,9 +137,41 @@ def test_metrics_endpoint_exposes_cache_queue_and_obs(server):
     assert payload["queue"]["max_inflight"] == 256
     assert "inflight_pairs" in payload["queue"]
     assert payload["requests"]["pairs"] >= 2
-    # The obs metrics registry rides along (serve.* counters live there).
-    counters = payload["metrics"].get("counters", {})
-    assert any(name.startswith("serve.") for name in counters)
+    # The service arms no recording of its own.
+    assert payload["metrics"] == {}
+    # While a caller records, its registry rides along.
+    pattern, text = _workload(count=1, seed=52)[0]
+    with obs.capture():
+        client.post("/align", {"pattern": pattern, "text": text})
+        _status, _headers, traced = client.get("/metrics")
+    counters = traced["metrics"].get("counters", {})
+    assert counters.get("batch.shards", 0) >= 1
+
+
+def test_unpicklable_aligner_is_labelled_inline():
+    # Local, so the REPRO004 lint's walk over Aligner subclasses skips it.
+    class Unpicklable(FullGmxAligner):
+        def __init__(self):
+            super().__init__()
+            self.hook = lambda result: result  # defeats pickling
+
+    pattern, text = _workload(count=1)[0]
+    config = ServeConfig(workers=2)
+    with AlignmentService(Unpicklable(), config=config) as service:
+        with running_server(service) as (_server, base_url):
+            client = _Client(base_url)
+            status, _headers, payload = client.post(
+                "/align", {"pattern": pattern, "text": text}
+            )
+            _status, _headers, health = client.get("/health")
+            _status, _headers, metrics = client.get("/metrics")
+            client.close()
+    assert status == 200
+    assert payload["results"][0]["score"] == (
+        FullGmxAligner().align(pattern, text).score
+    )
+    assert health["executor"] == metrics["pool"]["executor"] == "inline"
+    assert "Unpicklable is not picklable" in metrics["pool"]["fallback_reason"]
 
 
 def test_unknown_path_404(server):

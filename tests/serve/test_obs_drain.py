@@ -73,29 +73,31 @@ def test_inline_recovery_path_keeps_spans_local():
     assert {span.pid for span in shard_spans} == {os.getpid()}
 
 
-def test_service_owns_obs_when_none_active():
-    """Without an ambient recorder the service arms obs and tears it down."""
-    assert not obs.enabled()
-    service = AlignmentService(
-        FullGmxAligner(), config=ServeConfig(workers=1)
-    )
-    service.start()
-    assert obs.enabled()
-    service.close()
-    assert not obs.enabled()
-
-
 @needs_processes
-def test_self_armed_service_retains_no_spans():
-    """A service that armed obs itself keeps metrics but no span buffer."""
+def test_unobserved_service_arms_nothing_and_ships_no_buffers():
+    """With no caller recording, shards ask their workers for nothing."""
     assert not obs.enabled()
-    workload = _workload(count=20, seed=71)
     config = ServeConfig(workers=2, coalesce_max_pairs=4, cache_size=0)
-    with AlignmentService(FullGmxAligner(), config=config) as service:
-        service.align_pairs(workload[:4])
-        after_small = len(obs.recorder())
-        service.align_pairs(workload[4:])
-        assert len(obs.recorder()) == after_small == 0
-        counters = obs.metrics().snapshot().to_dict()["counters"]
-        assert counters.get("serve.pairs", 0) == 20
-        assert counters.get("batch.shards", 0) >= 2
+    service = AlignmentService(FullGmxAligner(), config=config)
+    payloads, replies = [], []
+    submit, wait = service.pool.submit, service.pool.wait
+
+    def recording_submit(fn, payload):
+        payloads.append(payload)
+        return submit(fn, payload)
+
+    def recording_wait(handle, timeout=None):
+        reply = wait(handle, timeout)
+        replies.append(reply)
+        return reply
+
+    service.pool.submit, service.pool.wait = recording_submit, recording_wait
+    with service:
+        assert service.pool.process_mode
+        assert not obs.enabled()
+        service.align_pairs(_workload(count=20, seed=71))
+        assert not obs.enabled()
+    assert not obs.enabled()
+    assert payloads and len(replies) == len(payloads)
+    assert all(payload[-1] is False for payload in payloads)
+    assert all(reply[-1] == ([], None) for reply in replies)

@@ -13,7 +13,7 @@ from repro.align import (
     WorkerLost,
     WorkerPool,
 )
-from repro.align.parallel import _align_shard
+from repro.align.parallel import _align_shard, executor_label
 from repro.workloads import generate_pair_set
 
 HAS_PROCESSES = bool(multiprocessing.get_all_start_methods())
@@ -33,7 +33,7 @@ class TestInlinePool:
     def test_single_worker_is_inline(self):
         pool = WorkerPool(1)
         assert not pool.process_mode
-        assert pool.executor == "serial"
+        assert executor_label(1, pool) == "serial"
         assert pool.method is None
         assert pool.worker_pids() == []
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.resilience import CheckpointError
 from repro.stream import (
     ENGINES,
     StreamConfig,
+    StreamCounters,
     StreamError,
     stream_align,
     stream_align_fasta,
@@ -314,6 +316,20 @@ class TestErrors:
 
 
 class TestObservability:
+    def test_registry_mirrors_every_counter_under_its_field_name(self, case):
+        with obs.capture() as (_recorder, registry):
+            result = stream_align(case.reference, case.query, config=CONFIG)
+        mirrored = {
+            name: value
+            for name, value in registry.snapshot().counters.items()
+            if name.startswith("stream.") and name != "stream.runs"
+        }
+        assert mirrored == {
+            f"stream.{item.name}": getattr(result.counters, item.name)
+            for item in fields(StreamCounters)
+        }
+        assert result.counters.jobs >= 1
+
     def test_spans_cover_all_stages(self, case):
         with obs.capture() as (recorder, _registry):
             stream_align(case.reference, case.query, config=CONFIG)
