@@ -36,8 +36,8 @@
 # chaos drill through the CLI (`repro chaos --serve`), a load-generator
 # smoke, and the warm-pool latency gate (`benchmarks/test_serve_latency.py`,
 # which keeps `BENCH_serve.json` current).
-# `dist-test` runs the distributed-execution suites (protocol, packing,
-# worker node, coordinator, dist chaos) plus the multi-node chaos drill
+# `dist-test` runs the distributed-execution suites (protocol, worker
+# node, coordinator, dist chaos) plus the multi-node chaos drill
 # through the CLI (`repro chaos --dist`: 3 supervised localhost worker
 # processes, seeded node faults, byte-identical + exactly-once proof).
 # `stream-test` runs the chromosome-scale streaming suites (chunker,

@@ -431,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dist_coord.add_argument(
         "--shard-size", type=int, default=None, metavar="PAIRS",
-        help="pair cap per packed shard",
+        help="pairs per shard",
     )
     dist_coord.add_argument(
         "--lease-timeout", type=float, default=5.0, metavar="SECONDS",

@@ -22,22 +22,25 @@ import random
 from dataclasses import dataclass
 
 
+#: Multiplier of the delay per further retry.
+BACKOFF_FACTOR = 2.0
+#: Fractional jitter added on top of each delay (0.25 = up to +25%).
+JITTER = 0.25
+
+
 @dataclass
 class RetryPolicy:
     """Seeded exponential backoff with deterministic jitter.
 
     Attributes:
         max_retries: retries per work item after its first attempt.
-        backoff_base: delay before the first retry, in seconds.
-        backoff_factor: multiplier per further retry.
-        jitter: fractional jitter added on top (0.25 = up to +25%).
+        backoff_base: delay before the first retry, in seconds; each
+            further retry waits :data:`BACKOFF_FACTOR` times longer.
         seed: seed of the jitter stream (same seed → same delays).
     """
 
     max_retries: int = 2
     backoff_base: float = 0.02
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
     seed: int = 0
 
     def delay(self, key: int, attempt: int) -> float:
@@ -45,5 +48,5 @@ class RetryPolicy:
         rng = random.Random(
             (self.seed << 24) ^ (key << 8) ^ attempt
         )
-        base = self.backoff_base * self.backoff_factor ** (attempt - 1)
-        return base * (1.0 + self.jitter * rng.random())
+        base = self.backoff_base * BACKOFF_FACTOR ** (attempt - 1)
+        return base * (1.0 + JITTER * rng.random())

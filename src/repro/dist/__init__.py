@@ -1,8 +1,8 @@
 """Fault-tolerant multi-node shard execution (`repro.dist`).
 
-A **coordinator** cuts a batch into predicted-cost-balanced shards
-(:mod:`.packing`), **leases** each shard to a remote **worker node**
-(:mod:`.worker` — an HTTP wrapper around a warm
+A **coordinator** cuts a batch into the batch engines' plain contiguous
+shards, **leases** each shard to the remote **worker node** with the
+fewest leases (:mod:`.worker` — an HTTP wrapper around a warm
 :class:`~repro.align.parallel.WorkerPool`), tracks node liveness with
 heartbeats, and accounts every completion **exactly once** through the
 resilience checkpoint journal (:mod:`.coordinator`).  Expired leases are
@@ -28,7 +28,6 @@ from .chaos import (
     NodeSupervisor,
     run_dist_campaign,
 )
-from .packing import PackedShard, pack_shards, pick_node
 from .protocol import (
     NODE_FAULT_KINDS,
     DistError,
@@ -36,7 +35,6 @@ from .protocol import (
     ProtocolError,
     ShardCompletion,
     ShardRequest,
-    StaleLeaseError,
 )
 from .worker import DistWorker, run_worker, running_worker
 
@@ -52,13 +50,9 @@ __all__ = [
     "NodeFaultPlan",
     "NodeHandle",
     "NodeSupervisor",
-    "PackedShard",
     "ProtocolError",
     "ShardCompletion",
     "ShardRequest",
-    "StaleLeaseError",
-    "pack_shards",
-    "pick_node",
     "run_dist_campaign",
     "run_worker",
     "running_worker",

@@ -36,7 +36,6 @@ from typing import Dict, List, Optional
 from ..align.base import Aligner
 from ..align.batch import align_batch
 from ..align.parallel import _resolve_start_method
-from ..common.retry import RetryPolicy
 from ..resilience.checkpoint import CheckpointJournal
 from ..workloads.generator import generate_pair_set
 from .coordinator import (
@@ -45,7 +44,6 @@ from .coordinator import (
     DistCoordinator,
     NodeHandle,
 )
-from .packing import pack_shards
 from .protocol import NODE_FAULT_KINDS, DistError, NodeFault
 
 
@@ -317,9 +315,11 @@ def run_dist_campaign(
         from ..align.full_gmx import FullGmxAligner
 
         aligner = FullGmxAligner()
-    # Enough shards that every fault owns one, plus clean headroom.
-    target_shards = max(faults + max(4, faults // 4), 8)
-    pair_count = target_shards * shard_size
+    # Enough shards that every fault owns one, plus clean headroom.  The
+    # coordinator cuts plain shards of ``shard_size`` pairs, so the batch
+    # is exactly ``shard_count`` shards.
+    shard_count = max(faults + max(4, faults // 4), 8)
+    pair_count = shard_count * shard_size
     workload = generate_pair_set(
         name=f"dist-chaos-{seed}",
         length=length,
@@ -328,9 +328,6 @@ def run_dist_campaign(
         seed=seed,
     )
     pairs = [(pair.pattern, pair.text) for pair in workload]
-    shard_count = len(
-        pack_shards(aligner, pairs, shard_size=shard_size)
-    )
 
     reference = align_batch(aligner, pairs)
 
@@ -374,10 +371,7 @@ def run_dist_campaign(
             lease_timeout=lease_timeout,
             heartbeat_interval=min(0.25, lease_timeout / 4),
             shard_size=shard_size,
-            retry=RetryPolicy(
-                max_retries=10, backoff_base=0.05, jitter=0.25, seed=seed
-            ),
-            drain_timeout=lease_timeout * 2.2 + 4.0,
+            seed=seed,
             max_node_failures=4,
         )
         coordinator = DistCoordinator(

@@ -1,7 +1,8 @@
 """Dist coordinator: lease shards to nodes, account results exactly once.
 
-The coordinator owns the batch.  It cuts predicted-cost-balanced shards
-(:mod:`.packing`), then drives a lease state machine per shard::
+The coordinator owns the batch.  It cuts contiguous shards with
+:func:`~repro.align.parallel.iter_shards`, as both batch engines do, then
+drives a lease state machine per shard::
 
     PENDING ──lease──▶ LEASED(node, epoch, deadline)
        ▲                   │
@@ -10,26 +11,30 @@ The coordinator owns the batch.  It cuts predicted-cost-balanced shards
         (epoch += 1,       ▼
          seeded backoff) COMPLETED (journalled once, exactly)
 
-* **Leases** — a shard is leased to one node at a time; the lease
-  carries an **epoch** that increments on every (re)lease.  Only a
-  completion echoing the current epoch is accounted; anything else is a
-  zombie reply from an expired lease and is discarded byte-identically
-  (``stale_discards``).
+* **Leases** — a ready shard is leased to the usable node with the
+  fewest outstanding leases (ties broken by name), one node at a time;
+  the lease carries an **epoch** that increments on every (re)lease.
+  Only a completion echoing the current epoch is accounted; anything
+  else is a zombie reply from an expired lease and is discarded
+  byte-identically (``stale_discards``).  There is no retry cap: a shard
+  is re-leased with seeded backoff until it completes, or until no node
+  is usable and the local fallback runs it.
 * **Heartbeats** — a background thread polls every node's ``/health``.
   A dead node's leases expire immediately (no need to wait out the
   deadline); a node answering with a *new* incarnation was respawned by
   its supervisor and gets a clean failure slate (un-quarantined).
-* **Exactly-once accounting** — completions are recorded in the
+* **Exactly-once accounting** — a shard is accounted by the first
+  completion that echoes its current epoch, and any later completion
+  for it is discarded.  Accepted completions are recorded in the
   resilience :class:`~repro.resilience.checkpoint.CheckpointJournal`
   (when a checkpoint path is given) keyed by pair range, with the lease
-  epoch and node as provenance; ``journal.has`` is the final guard that
-  no shard is ever accounted twice, and a resumed run replays
-  journalled shards instead of re-leasing them.
+  epoch and node as provenance, and a resumed run replays journalled
+  shards instead of re-leasing them.
 * **Quarantine** — ``max_node_failures`` consecutive failures bench a
   node, exactly like pair quarantine in the resilience engine; a
   respawned incarnation is paroled.
 * **Graceful degradation** — with zero usable nodes (none configured,
-  all dead, or all quarantined past a grace window) the remaining
+  or all dead or quarantined for one lease timeout) the remaining
   shards run inline through the local shard body and the batch still
   completes, byte-identical.
 """
@@ -40,25 +45,24 @@ import http.client
 import queue
 import threading
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from ..align.base import Aligner, KernelStats, aligner_fingerprint
-from ..align.batch import PairLike
+from ..align.batch import BatchResult, PairLike
 from ..align.parallel import (
     DEFAULT_SHARD_SIZE,
     BatchTelemetry,
     ShardTelemetry,
     _absorb_obs_buffers,
     _align_shard,
+    iter_shards,
     shard_checksum,
 )
 from ..common.retry import RetryPolicy
 from ..obs import runtime as obs
 from ..resilience.checkpoint import CheckpointJournal
-from .packing import PackedShard, pack_shards, pick_node
 from .protocol import (
     DistError,
     NodeFault,
@@ -66,6 +70,16 @@ from .protocol import (
     ShardCompletion,
     ShardRequest,
 )
+
+#: Socket timeout of a heartbeat's ``GET /health``.
+CONNECT_TIMEOUT = 2.0
+#: Read-timeout seconds past the lease on a dispatch connection, so a
+#: zombie reply is still *observed* and counted stale rather than lost.
+DISPATCH_SLACK = 2.0
+#: Concurrent shards leased to one node.
+MAX_LEASES_PER_NODE = 2
+#: Delay before a shard's first re-lease; it doubles per further attempt.
+REQUEUE_BACKOFF = 0.05
 
 
 @dataclass(frozen=True)
@@ -89,37 +103,22 @@ class DistConfig:
 
     Attributes:
         lease_timeout: seconds a node holds a shard before the lease
-            expires and the shard is re-leased elsewhere.
+            expires and the shard is re-leased elsewhere; also how long
+            the coordinator waits with zero usable nodes before it
+            degrades to local execution.
         heartbeat_interval: seconds between ``/health`` polls per node.
-        connect_timeout: socket timeout for heartbeats.
-        dispatch_slack: extra read-timeout seconds past the lease on the
-            dispatch connection (so zombie replies are still *observed*
-            and counted as stale rather than vanishing).
         max_node_failures: consecutive failures before quarantine.
-        max_leases_per_node: concurrent shards leased to one node.
-        retry: shared seeded backoff policy for lease reassignment.
-        local_fallback_after: seconds with zero usable nodes before the
-            coordinator degrades to local execution (immediately when no
-            nodes are configured at all).  ``None`` → ``lease_timeout``.
-        drain_timeout: seconds to wait at the end for outstanding zombie
-            dispatch threads, so late stale replies are accounted.
-        shard_size: pair cap per packed shard.
+        shard_size: pairs per shard (``None`` → the batch engines'
+            default).
+        seed: seed of the re-lease backoff jitter (same seed → same
+            delays).
     """
 
     lease_timeout: float = 5.0
     heartbeat_interval: float = 0.5
-    connect_timeout: float = 2.0
-    dispatch_slack: float = 2.0
     max_node_failures: int = 3
-    max_leases_per_node: int = 2
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            max_retries=8, backoff_base=0.05, jitter=0.25
-        )
-    )
-    local_fallback_after: Optional[float] = None
-    drain_timeout: float = 10.0
     shard_size: Optional[int] = None
+    seed: int = 0
 
 
 @dataclass
@@ -132,8 +131,6 @@ class _NodeState:
     incarnation: Optional[int] = None
     consecutive_failures: int = 0
     quarantined: bool = False
-    outstanding_cost: int = 0
-    ewma_speed: float = 0.0
     leases: int = 0
     completed: int = 0
     failures: int = 0
@@ -153,8 +150,16 @@ class _NodeState:
             "failures": self.failures,
             "stale_replies": self.stale,
             "respawns_seen": self.respawns_seen,
-            "ewma_speed": round(self.ewma_speed, 1),
         }
+
+
+def _least_leased(states: Iterable[_NodeState]) -> Optional[_NodeState]:
+    """The node with the fewest leases under the cap, ties by name."""
+    return min(
+        (state for state in states if state.leases < MAX_LEASES_PER_NODE),
+        key=lambda state: (state.leases, state.handle.name),
+        default=None,
+    )
 
 
 @dataclass
@@ -163,8 +168,6 @@ class _Lease:
     epoch: int
     node: str
     deadline: float
-    started: float
-    attempt: int
 
 
 @dataclass
@@ -215,25 +218,268 @@ class DistCounters:
 
 
 @dataclass
-class DistBatchResult:
-    """Outcome of one coordinated batch (mirrors ``BatchResult`` + provenance)."""
+class DistBatchResult(BatchResult):
+    """A :class:`BatchResult` plus the coordinated run's provenance.
 
-    results: List = field(default_factory=list)
-    stats: KernelStats = field(default_factory=KernelStats)
-    telemetry: Optional[BatchTelemetry] = None
+    Attributes:
+        counters: lease, retry and fallback accounting of the run.
+        nodes: each node's final coordinator-side state, by name.
+        ledger: one :class:`NodeFaultRecord` per planned node fault.
+    """
+
     counters: DistCounters = field(default_factory=DistCounters)
     nodes: Dict[str, dict] = field(default_factory=dict)
     ledger: List[NodeFaultRecord] = field(default_factory=list)
-
-    @property
-    def pairs(self) -> int:
-        return len(self.results)
 
     def accounted(self) -> bool:
         """True when every planned fault reached a terminal outcome."""
         return all(
             record.outcome in ACCOUNTED_OUTCOMES for record in self.ledger
         )
+
+
+class _Run:
+    """The state of one coordinated batch, owned by the run loop.
+
+    Shard ``i`` holds pairs ``[i * shard_size, i * shard_size + len)``
+    of the input (every shard but the last is full), which is the range
+    the journal keys it by.
+    """
+
+    def __init__(
+        self,
+        coordinator: "DistCoordinator",
+        pairs: Iterable[PairLike],
+        traceback: bool,
+    ) -> None:
+        config = coordinator.config
+        self.coordinator = coordinator
+        self.traceback = traceback
+        self.shard_size = (
+            DEFAULT_SHARD_SIZE
+            if config.shard_size is None
+            else config.shard_size
+        )
+        self.shards = list(iter_shards(pairs, self.shard_size))
+        self.checksums = [shard_checksum(shard) for shard in self.shards]
+        self.epochs = [0] * len(self.shards)
+        self.attempts = [0] * len(self.shards)
+        self.leases: Dict[int, _Lease] = {}
+        self.results: Dict[int, list] = {}
+        self.counters = DistCounters(shards=len(self.shards))
+        self.telemetry = BatchTelemetry(
+            workers=max(1, len(coordinator.nodes)),
+            shard_size=self.shard_size,
+            executor="dist",
+        )
+        self.retry = RetryPolicy(backoff_base=REQUEUE_BACKOFF, seed=config.seed)
+        self.journal: Optional[CheckpointJournal] = None
+        if coordinator.checkpoint:
+            self.journal = CheckpointJournal(
+                coordinator.checkpoint,
+                {
+                    "aligner": coordinator.fingerprint,
+                    "traceback": traceback,
+                    "plan": None,
+                },
+            )
+            # Resume journalled shards before leasing anything.
+            for shard_id, checksum in enumerate(self.checksums):
+                cached = self.journal.lookup(*self.span(shard_id), checksum)
+                if cached is not None:
+                    self.results[shard_id] = cached[0]
+                    self.counters.resumed_shards += 1
+        #: ``(ready_at, shard_id)`` of every shard waiting for a lease.
+        self.pending: List[Tuple[float, int]] = [
+            (0.0, shard_id)
+            for shard_id in range(len(self.shards))
+            if shard_id not in self.results
+        ]
+
+    def done(self) -> bool:
+        return len(self.results) == len(self.shards)
+
+    def span(self, shard_id: int) -> Tuple[int, int]:
+        lo = shard_id * self.shard_size
+        return lo, lo + len(self.shards[shard_id])
+
+    def ready(self, now: float) -> List[int]:
+        """Take the pending shards whose backoff has run out."""
+        ready = [shard_id for at, shard_id in self.pending if at <= now]
+        self.pending = [item for item in self.pending if item[0] > now]
+        return ready
+
+    def lease(
+        self, shard_id: int, state: _NodeState, now: float
+    ) -> Tuple[_Lease, ShardRequest]:
+        """Lease a shard to a node; a planned fault arms on its first lease."""
+        coordinator = self.coordinator
+        self.epochs[shard_id] += 1
+        self.attempts[shard_id] += 1
+        lease = _Lease(
+            shard_id=shard_id,
+            epoch=self.epochs[shard_id],
+            node=state.handle.name,
+            deadline=now + coordinator.config.lease_timeout,
+        )
+        self.leases[shard_id] = lease
+        state.leases += 1
+        self.counters.leases_granted += 1
+        fault = None
+        record = coordinator.ledger.get(shard_id)
+        if record is not None and record.outcome == "planned":
+            fault = record.fault
+            record.outcome = "armed"
+            record.detail = f"armed on {lease.node}"
+        request = ShardRequest(
+            shard_id=shard_id,
+            epoch=lease.epoch,
+            pairs=self.shards[shard_id],
+            traceback=self.traceback,
+            fingerprint=coordinator.fingerprint,
+            want_obs=obs.enabled(),
+            fault=fault,
+        )
+        return lease, request
+
+    def record(self, shard_id: int, results, epoch: int, node: str) -> None:
+        self.results[shard_id] = results
+        if self.journal is not None:
+            lo, hi = self.span(shard_id)
+            self.journal.record(
+                lo,
+                hi,
+                self.checksums[shard_id],
+                results,
+                epoch=epoch,
+                node=node,
+            )
+            self.counters.journal_writes = self.journal.writes
+
+    def requeue(self, lease: _Lease, reason: str) -> None:
+        """Invalidate a lease and schedule its shard for re-lease."""
+        self.epochs[lease.shard_id] += 1  # the expired epoch can never land
+        self.leases.pop(lease.shard_id, None)
+        state = self.coordinator.nodes[lease.node]
+        state.leases -= 1
+        state.failures += 1
+        state.consecutive_failures += 1
+        if (
+            not state.quarantined
+            and state.consecutive_failures
+            >= self.coordinator.config.max_node_failures
+        ):
+            state.quarantined = True
+            self.counters.nodes_quarantined += 1
+        attempt = self.attempts[lease.shard_id]
+        delay = self.retry.delay(lease.shard_id, max(1, attempt))
+        self.pending.append((time.monotonic() + delay, lease.shard_id))
+        self.counters.retries += 1
+        record = self.coordinator.ledger.get(lease.shard_id)
+        if record is not None and record.outcome in ("planned", "armed"):
+            record.outcome = (
+                "expired" if reason == "lease expired" else "retried"
+            )
+            record.detail = f"{reason} on {lease.node}"
+
+    def run_pending_locally(self) -> None:
+        """Run every waiting shard inline through the local shard body."""
+        for _, shard_id in sorted(self.pending):
+            self.epochs[shard_id] += 1
+            results, _stats, elapsed, worker, _buffers = _align_shard(
+                (
+                    self.coordinator.aligner,
+                    self.shards[shard_id],
+                    self.traceback,
+                    False,
+                    False,
+                )
+            )
+            self.record(shard_id, results, self.epochs[shard_id], "local")
+            self.counters.local_shards += 1
+            self.telemetry.shards.append(
+                ShardTelemetry(
+                    index=shard_id,
+                    pairs=len(self.shards[shard_id]),
+                    wall_seconds=elapsed,
+                    worker=f"local:{worker}",
+                )
+            )
+            record = self.coordinator.ledger.get(shard_id)
+            if record is not None and record.outcome in (
+                "planned",
+                "armed",
+                "retried",
+                "expired",
+            ):
+                record.outcome = "degraded"
+                record.detail = "completed by local fallback"
+        self.pending.clear()
+
+    def handle(self, event, *, draining: bool = False) -> None:
+        """Account one event a dispatch or heartbeat thread queued."""
+        kind = event[0]
+        if kind in ("node-down", "node-paroled"):
+            if kind == "node-paroled":
+                self.counters.nodes_paroled += 1
+            return
+        lease = event[1]
+        shard_id = lease.shard_id
+        current = self.epochs[shard_id]
+        record = self.coordinator.ledger.get(shard_id)
+        if kind == "completion":
+            completion: ShardCompletion = event[2]
+            stale = completion.epoch != current or shard_id in self.results
+            if stale:
+                self.counters.stale_discards += 1
+                state = self.coordinator.nodes.get(completion.node)
+                if state is not None:
+                    state.stale += 1
+                if record is not None and record.outcome in (
+                    "armed",
+                    "expired",
+                ):
+                    record.outcome = "stale-discarded"
+                    record.detail = (
+                        f"zombie completion from {completion.node} "
+                        f"(epoch {completion.epoch} != {current})"
+                    )
+                return
+            if completion.checksum != self.checksums[shard_id]:
+                self.counters.corrupt_completions += 1
+                self.counters.lease_failures += 1
+                self.requeue(lease, "completion checksum mismatch")
+                return
+            state = self.coordinator.nodes[lease.node]
+            self.record(
+                shard_id, completion.results, completion.epoch, lease.node
+            )
+            self.leases.pop(shard_id, None)
+            state.leases -= 1
+            state.completed += 1
+            state.consecutive_failures = 0
+            self.telemetry.shards.append(
+                ShardTelemetry(
+                    index=shard_id,
+                    pairs=len(self.shards[shard_id]),
+                    wall_seconds=completion.elapsed,
+                    worker=f"{lease.node}#{completion.incarnation}",
+                )
+            )
+            _absorb_obs_buffers((completion.spans, completion.metrics))
+            if record is not None and record.outcome == "armed":
+                record.outcome = "absorbed"
+                record.detail = f"completed within lease on {lease.node}"
+        elif kind == "failure":
+            reason: str = event[2]
+            if lease.epoch != current or shard_id in self.results:
+                # Failure report from an already-expired lease: the shard
+                # has moved on; nothing to requeue.
+                return
+            if draining:
+                return
+            self.counters.lease_failures += 1
+            self.requeue(lease, reason)
 
 
 class DistCoordinator:
@@ -278,7 +524,7 @@ class DistCoordinator:
         host, port = state.handle.address
         try:
             conn = http.client.HTTPConnection(
-                host, port, timeout=self.config.connect_timeout
+                host, port, timeout=CONNECT_TIMEOUT
             )
             try:
                 conn.request("GET", "/health")
@@ -318,17 +564,18 @@ class DistCoordinator:
 
     # -- dispatch --------------------------------------------------------
 
-    def _dispatch(
-        self, shard: PackedShard, lease: _Lease, request: ShardRequest
-    ) -> None:
-        """Dispatch-thread body: one POST /shard, one event, no locks."""
-        read_timeout = self.config.lease_timeout + self.config.dispatch_slack
+    def _dispatch(self, lease: _Lease, request: ShardRequest) -> None:
+        """Dispatch-thread body: one POST /shard, one event, no locks.
+
+        Every socket operation is bounded by ``read_timeout``, so the
+        thread ends by itself; the run's end-of-batch drain relies on it.
+        """
+        read_timeout = self.config.lease_timeout + DISPATCH_SLACK
         if request.fault is not None and request.fault.kind == "hang":
             # Keep the socket open long enough to *observe* the zombie
             # reply — that is the point of the stale-discard ledger.
             read_timeout = max(
-                read_timeout,
-                request.fault.seconds + self.config.dispatch_slack,
+                read_timeout, request.fault.seconds + DISPATCH_SLACK
             )
         host, port = self.nodes[lease.node].handle.address
         try:
@@ -370,53 +617,7 @@ class DistCoordinator:
     ) -> DistBatchResult:
         config = self.config
         started_wall = time.perf_counter()
-        shards = pack_shards(
-            self.aligner,
-            pairs,
-            shard_size=config.shard_size,
-            traceback=traceback,
-        )
-        checksums = {s.shard_id: shard_checksum(s.pairs) for s in shards}
-        journal: Optional[CheckpointJournal] = None
-        if self.checkpoint:
-            journal = CheckpointJournal(
-                self.checkpoint,
-                {
-                    "aligner": self.fingerprint,
-                    "traceback": traceback,
-                    "plan": None,
-                },
-            )
-        counters = DistCounters(shards=len(shards))
-        results_by_shard: Dict[int, list] = {}
-        telemetry = BatchTelemetry(
-            workers=max(1, len(self.nodes)),
-            shard_size=config.shard_size or DEFAULT_SHARD_SIZE,
-            executor="dist",
-        )
-        epochs: Dict[int, int] = {s.shard_id: 0 for s in shards}
-        attempts: Dict[int, int] = {s.shard_id: 0 for s in shards}
-        leases: Dict[int, _Lease] = {}
-        fault_armed: Dict[int, bool] = {}
-        by_id = {s.shard_id: s for s in shards}
-
-        # Resume journalled shards before leasing anything.
-        if journal is not None:
-            for shard in shards:
-                cached = journal.lookup(
-                    shard.lo, shard.hi, checksums[shard.shard_id]
-                )
-                if cached is not None:
-                    results_by_shard[shard.shard_id] = cached[0]
-                    counters.resumed_shards += 1
-
-        pending: "deque[Tuple[float, int]]" = deque(
-            (0.0, s.shard_id)
-            for s in shards
-            if s.shard_id not in results_by_shard
-        )
-        done = len(results_by_shard)
-        total = len(shards)
+        run = _Run(self, pairs, traceback)
 
         heartbeat: Optional[threading.Thread] = None
         if self.nodes:
@@ -426,89 +627,17 @@ class DistCoordinator:
                 daemon=True,
             )
             heartbeat.start()
-        grace = (
-            config.local_fallback_after
-            if config.local_fallback_after is not None
-            else config.lease_timeout
-        )
         last_usable = time.monotonic()
-
-        def _record(shard: PackedShard, results, epoch: int, node: str):
-            nonlocal done
-            results_by_shard[shard.shard_id] = results
-            if journal is not None:
-                journal.record(
-                    shard.lo,
-                    shard.hi,
-                    checksums[shard.shard_id],
-                    results,
-                    epoch=epoch,
-                    node=node,
-                )
-                counters.journal_writes = journal.writes
-            done += 1
-
-        def _requeue(lease: _Lease, reason: str) -> None:
-            """Invalidate a lease and schedule its shard for re-lease."""
-            epochs[lease.shard_id] += 1  # the expired epoch can never land
-            leases.pop(lease.shard_id, None)
-            state = self.nodes[lease.node]
-            state.leases -= 1
-            state.outstanding_cost -= by_id[lease.shard_id].cost
-            state.failures += 1
-            state.consecutive_failures += 1
-            if (
-                not state.quarantined
-                and state.consecutive_failures >= config.max_node_failures
-            ):
-                state.quarantined = True
-                counters.nodes_quarantined += 1
-            attempt = attempts[lease.shard_id]
-            delay = config.retry.delay(lease.shard_id, max(1, attempt))
-            pending.append((time.monotonic() + delay, lease.shard_id))
-            counters.retries += 1
-            record = self.ledger.get(lease.shard_id)
-            if record is not None and record.outcome in ("planned", "armed"):
-                record.outcome = (
-                    "expired" if reason == "lease expired" else "retried"
-                )
-                record.detail = f"{reason} on {lease.node}"
-
-        def _run_local(shard: PackedShard) -> None:
-            epochs[shard.shard_id] += 1
-            results, _stats, elapsed, worker, _buffers = _align_shard(
-                (self.aligner, shard.pairs, traceback, False, False)
-            )
-            _record(shard, results, epochs[shard.shard_id], "local")
-            counters.local_shards += 1
-            telemetry.shards.append(
-                ShardTelemetry(
-                    index=shard.shard_id,
-                    pairs=shard.size,
-                    wall_seconds=elapsed,
-                    worker=f"local:{worker}",
-                )
-            )
-            record = self.ledger.get(shard.shard_id)
-            if record is not None and record.outcome in (
-                "planned",
-                "armed",
-                "retried",
-                "expired",
-            ):
-                record.outcome = "degraded"
-                record.detail = "completed by local fallback"
-
         try:
-            while done < total:
+            while not run.done():
                 now = time.monotonic()
                 # 1. Expire overdue leases (immediately for dead nodes).
-                for lease in list(leases.values()):
+                for lease in list(run.leases.values()):
                     with self._node_lock:
                         node_dead = not self.nodes[lease.node].alive
                     if node_dead or now >= lease.deadline:
-                        counters.leases_expired += 1
-                        _requeue(
+                        run.counters.leases_expired += 1
+                        run.requeue(
                             lease,
                             "node died" if node_dead else "lease expired",
                         )
@@ -521,125 +650,66 @@ class DistCoordinator:
                     ]
                 if usable:
                     last_usable = now
-                ready: List[int] = []
-                still_waiting: "deque[Tuple[float, int]]" = deque()
-                while pending:
-                    at, shard_id = pending.popleft()
-                    if shard_id in results_by_shard:
+                for shard_id in run.ready(now):
+                    state = _least_leased(usable)
+                    if state is None:
+                        run.pending.append((now, shard_id))
                         continue
-                    if at <= now:
-                        ready.append(shard_id)
-                    else:
-                        still_waiting.append((at, shard_id))
-                pending = still_waiting
-                for shard_id in ready:
-                    shard = by_id[shard_id]
-                    candidates = [
-                        (s.handle.name, s.outstanding_cost, s.ewma_speed)
-                        for s in usable
-                        if s.leases < config.max_leases_per_node
-                    ]
-                    chosen = pick_node(candidates, shard.cost)
-                    if chosen is None:
-                        pending.append((now, shard_id))
-                        continue
-                    state = self.nodes[chosen]
-                    epochs[shard_id] += 1
-                    attempts[shard_id] += 1
-                    lease = _Lease(
-                        shard_id=shard_id,
-                        epoch=epochs[shard_id],
-                        node=chosen,
-                        deadline=now + config.lease_timeout,
-                        started=now,
-                        attempt=attempts[shard_id],
-                    )
-                    leases[shard_id] = lease
-                    state.leases += 1
-                    state.outstanding_cost += shard.cost
-                    counters.leases_granted += 1
-                    fault = None
-                    record = self.ledger.get(shard_id)
-                    if record is not None and not fault_armed.get(shard_id):
-                        fault = record.fault
-                        fault_armed[shard_id] = True
-                        record.outcome = "armed"
-                        record.detail = f"armed on {chosen}"
-                    request = ShardRequest(
-                        shard_id=shard_id,
-                        epoch=lease.epoch,
-                        lo=shard.lo,
-                        hi=shard.hi,
-                        pairs=shard.pairs,
-                        traceback=traceback,
-                        fingerprint=self.fingerprint,
-                        want_obs=obs.enabled(),
-                        fault=fault,
-                    )
+                    lease, request = run.lease(shard_id, state, now)
                     thread = threading.Thread(
                         target=self._dispatch,
-                        args=(shard, lease, request),
+                        args=(lease, request),
                         name=f"repro-dist-dispatch-{shard_id}-e{lease.epoch}",
                         daemon=True,
                     )
                     self._dispatchers.append(thread)
                     thread.start()
                 # 3. Degrade to local execution with zero usable nodes.
-                if not leases and (
+                if not run.leases and (
                     not self.nodes
-                    or (not usable and now - last_usable >= grace)
+                    or (
+                        not usable
+                        and now - last_usable >= config.lease_timeout
+                    )
                 ):
-                    for _, shard_id in sorted(pending):
-                        if shard_id not in results_by_shard:
-                            _run_local(by_id[shard_id])
-                    pending.clear()
+                    run.run_pending_locally()
                     continue
-                if done >= total:
-                    break
                 # 4. Sleep until something can happen.
-                wake = now + max(0.02, config.heartbeat_interval)
-                for lease in leases.values():
-                    wake = min(wake, lease.deadline)
-                for at, _ in pending:
-                    wake = min(wake, at) if at > now else wake
-                timeout = max(0.01, wake - now)
+                wake = min(
+                    [now + max(0.02, config.heartbeat_interval)]
+                    + [lease.deadline for lease in run.leases.values()]
+                    + [at for at, _ in run.pending if at > now]
+                )
                 try:
-                    event = self._events.get(timeout=timeout)
+                    event = self._events.get(timeout=max(0.01, wake - now))
                 except queue.Empty:
                     continue
-                self._handle_event(
-                    event, by_id, checksums, epochs, leases, counters,
-                    telemetry, results_by_shard, _record, _requeue,
-                )
+                run.handle(event)
         finally:
             self._stop.set()
             if heartbeat is not None:
                 heartbeat.join(timeout=2.0)
 
         # Drain outstanding zombie dispatchers so their stale replies are
-        # observed and accounted (not lost to interpreter teardown).
-        drain_deadline = time.monotonic() + config.drain_timeout
+        # observed and accounted (not lost to interpreter teardown).  The
+        # socket timeout of each one bounds its wait.
         for thread in self._dispatchers:
-            thread.join(timeout=max(0.0, drain_deadline - time.monotonic()))
+            thread.join()
         while True:
             try:
                 event = self._events.get_nowait()
             except queue.Empty:
                 break
-            self._handle_event(
-                event, by_id, checksums, epochs, leases, counters,
-                telemetry, results_by_shard, _record, _requeue,
-                draining=True,
-            )
+            run.handle(event, draining=True)
 
         results: List = []
         stats = KernelStats()
-        for shard in shards:
-            shard_results = results_by_shard[shard.shard_id]
+        for shard_id in range(len(run.shards)):
+            shard_results = run.results[shard_id]
             results.extend(shard_results)
             for result in shard_results:
                 stats.merge(result.stats)
-        telemetry.wall_seconds = time.perf_counter() - started_wall
+        run.telemetry.wall_seconds = time.perf_counter() - started_wall
         with self._node_lock:
             nodes = {
                 name: state.to_dict() for name, state in self.nodes.items()
@@ -647,95 +717,8 @@ class DistCoordinator:
         return DistBatchResult(
             results=results,
             stats=stats,
-            telemetry=telemetry,
-            counters=counters,
+            telemetry=run.telemetry,
+            counters=run.counters,
             nodes=nodes,
             ledger=[self.ledger[key] for key in sorted(self.ledger)],
         )
-
-    def _handle_event(
-        self,
-        event,
-        by_id,
-        checksums,
-        epochs,
-        leases,
-        counters,
-        telemetry,
-        results_by_shard,
-        record_fn,
-        requeue_fn,
-        *,
-        draining: bool = False,
-    ) -> None:
-        kind = event[0]
-        if kind in ("node-down", "node-paroled"):
-            if kind == "node-paroled":
-                counters.nodes_paroled += 1
-            return
-        lease = event[1]
-        shard = by_id[lease.shard_id]
-        current = epochs[lease.shard_id]
-        record = self.ledger.get(lease.shard_id)
-        if kind == "completion":
-            completion: ShardCompletion = event[2]
-            stale = (
-                completion.epoch != current
-                or lease.shard_id in results_by_shard
-            )
-            if stale:
-                counters.stale_discards += 1
-                state = self.nodes.get(completion.node)
-                if state is not None:
-                    state.stale += 1
-                if record is not None and record.outcome in (
-                    "armed",
-                    "expired",
-                ):
-                    record.outcome = "stale-discarded"
-                    record.detail = (
-                        f"zombie completion from {completion.node} "
-                        f"(epoch {completion.epoch} != {current})"
-                    )
-                return
-            if completion.checksum != checksums[lease.shard_id]:
-                counters.corrupt_completions += 1
-                counters.lease_failures += 1
-                requeue_fn(lease, "completion checksum mismatch")
-                return
-            state = self.nodes[lease.node]
-            record_fn(shard, completion.results, completion.epoch, lease.node)
-            leases.pop(lease.shard_id, None)
-            state.leases -= 1
-            state.outstanding_cost -= shard.cost
-            state.completed += 1
-            state.consecutive_failures = 0
-            wall = max(1e-6, time.monotonic() - lease.started)
-            sample = shard.cost / wall
-            state.ewma_speed = (
-                sample
-                if state.ewma_speed == 0.0
-                else 0.7 * state.ewma_speed + 0.3 * sample
-            )
-            telemetry.shards.append(
-                ShardTelemetry(
-                    index=shard.shard_id,
-                    pairs=shard.size,
-                    wall_seconds=completion.elapsed,
-                    worker=f"{lease.node}#{completion.incarnation}",
-                )
-            )
-            _absorb_obs_buffers((completion.spans, completion.metrics))
-            if record is not None and record.outcome == "armed":
-                record.outcome = "absorbed"
-                record.detail = f"completed within lease on {lease.node}"
-        elif kind == "failure":
-            reason: str = event[2]
-            if lease.epoch != current or lease.shard_id in results_by_shard:
-                # Failure report from an already-expired lease: the shard
-                # has moved on; nothing to requeue.
-                return
-            if draining:
-                return
-            counters.lease_failures += 1
-            requeue_fn(lease, reason)

@@ -7,9 +7,10 @@ that travelled through a node is byte-identical to one computed locally.
 
 Messages:
 
-* :class:`ShardRequest` — ``POST /shard`` body: the leased pair range,
-  its lease ``epoch``, the aligner fingerprint the node must match, and
-  (under chaos) the planned :class:`NodeFault` the node must act out.
+* :class:`ShardRequest` — ``POST /shard`` body: the leased shard's
+  pairs, its lease ``epoch``, the aligner fingerprint the node must
+  match, and (under chaos) the planned :class:`NodeFault` the node must
+  act out.
 * :class:`ShardCompletion` — the node's reply: serialised results,
   input checksum, the *echoed* lease epoch (the coordinator's staleness
   test), node identity/incarnation, and drained observability buffers.
@@ -36,10 +37,6 @@ class DistError(RuntimeError):
 
 class ProtocolError(DistError):
     """A message crossing the coordinator/worker boundary is malformed."""
-
-
-class StaleLeaseError(DistError):
-    """A completion echoed an expired lease epoch (zombie node)."""
 
 
 #: Node-level fault kinds the chaos harness can inject mid-shard.
@@ -100,8 +97,6 @@ class ShardRequest:
 
     shard_id: int
     epoch: int
-    lo: int
-    hi: int
     pairs: List[Tuple[str, str]]
     traceback: bool = True
     fingerprint: str = ""
@@ -112,8 +107,6 @@ class ShardRequest:
         payload = {
             "shard_id": self.shard_id,
             "epoch": self.epoch,
-            "lo": self.lo,
-            "hi": self.hi,
             "pairs": [list(pair) for pair in self.pairs],
             "traceback": self.traceback,
             "fingerprint": self.fingerprint,
@@ -130,8 +123,6 @@ class ShardRequest:
             return cls(
                 shard_id=int(data["shard_id"]),
                 epoch=int(data["epoch"]),
-                lo=int(data["lo"]),
-                hi=int(data["hi"]),
                 pairs=pairs,
                 traceback=bool(data.get("traceback", True)),
                 fingerprint=str(data.get("fingerprint", "")),

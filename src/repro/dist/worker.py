@@ -75,7 +75,6 @@ class DistWorker:
         self.fingerprint = aligner_fingerprint(aligner)
         self._lock = threading.Lock()
         self.shards_done = 0
-        self.faults_honored = 0
 
     def close(self) -> None:
         self.pool.close()
@@ -170,12 +169,10 @@ class DistWorkerHandler(JsonRequestHandler):
             # Crash mid-shard: the process dies before any reply — the
             # coordinator sees the connection reset and the supervisor
             # (if any) respawns the node under a new incarnation.
-            self.worker.faults_honored += 1
             os._exit(3)
         if fault is not None and fault.kind == "slow":
             # Stall *below* the lease timeout, then answer normally: the
             # coordinator absorbs the latency without a retry.
-            self.worker.faults_honored += 1
             time.sleep(max(0.0, fault.seconds))
         try:
             completion = self.worker.execute(request)
@@ -193,12 +190,10 @@ class DistWorkerHandler(JsonRequestHandler):
             # the lease timeout.  By the time it lands, the coordinator
             # has re-leased the shard under a higher epoch, so this
             # completion echoes a stale epoch and must be discarded.
-            self.worker.faults_honored += 1
             time.sleep(max(0.0, fault.seconds))
         elif fault is not None and fault.kind == "partition":
             # Network partition at the worst moment: the shard executed,
             # but the reply never crosses the wire — drop the connection.
-            self.worker.faults_honored += 1
             self.close_connection = True
             with contextlib.suppress(OSError):
                 self.connection.shutdown(socket.SHUT_RDWR)

@@ -479,62 +479,3 @@ PREDICTORS = {
     "Windowed(GenASM-CPU)": predict_genasm_cpu,
     "Darwin(GACT)": predict_darwin_gact,
 }
-
-
-def predict_pair_cost(aligner, n: int, m: int, *, traceback: bool = True) -> int:
-    """Predicted instruction cost of aligning one ``n x m`` pair.
-
-    The distributed coordinator's shard packer calls this per pair to cut
-    cost-balanced shards for heterogeneous nodes — without running a
-    kernel.  Dispatches on the aligner's class to the matching closed-form
-    predictor and returns ``KernelStats.total_instructions``; an aligner
-    without a predictor (wrappers, test doubles) falls back to the
-    quadratic cell count ``n * m``, which preserves relative ordering.
-    """
-    name = type(aligner).__name__
-    tile = getattr(aligner, "tile_size", 32)
-    try:
-        if name == "FullGmxAligner":
-            stats = predict_full_gmx(
-                n,
-                m,
-                traceback=traceback,
-                tile_size=tile,
-                fused=bool(getattr(aligner, "fused", False)),
-            )
-        elif name == "BandedGmxAligner":
-            stats = predict_banded_gmx(
-                n, m, traceback=traceback, tile_size=tile
-            )
-        elif name == "WindowedGmxAligner":
-            stats = predict_windowed_gmx(
-                n,
-                m,
-                window=aligner.window,
-                overlap=aligner.overlap,
-                tile_size=tile,
-            )
-        elif name == "NeedlemanWunschAligner":
-            stats = predict_nw(n, m, traceback=traceback)
-        elif name == "BpmAligner":
-            stats = predict_bpm(
-                n,
-                m,
-                traceback=traceback,
-                word_size=getattr(aligner, "word_size", 64),
-            )
-        elif name == "EdlibAligner":
-            stats = predict_edlib(
-                n,
-                m,
-                traceback=traceback,
-                word_size=getattr(aligner, "word_size", 64),
-            )
-        elif name == "HirschbergAligner":
-            stats = predict_hirschberg(n, m, traceback=traceback)
-        else:
-            return n * m
-    except (ValueError, ZeroDivisionError):
-        return n * m
-    return max(1, stats.total_instructions)
-

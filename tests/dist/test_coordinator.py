@@ -1,22 +1,29 @@
 """Coordinator: leasing, exactly-once epoch fencing, degradation."""
 
+import socket
+import threading
 import time
 
 import pytest
 
 from repro.align import FullGmxAligner, align_batch
-from repro.align.parallel import BatchTelemetry
 from repro.dist import (
     DistConfig,
     DistCoordinator,
     DistError,
+    NodeFault,
+    NodeFaultPlan,
     NodeHandle,
-    PackedShard,
     ShardCompletion,
     running_worker,
 )
-from repro.dist.coordinator import DistCounters, _Lease
-from repro.resilience.injectors import shard_checksum
+from repro.dist.coordinator import (
+    MAX_LEASES_PER_NODE,
+    _Lease,
+    _least_leased,
+    _NodeState,
+    _Run,
+)
 from repro.resilience import CheckpointJournal
 from repro.workloads import generate_pair_set
 
@@ -24,6 +31,13 @@ from repro.workloads import generate_pair_set
 def _pairs(count=9, seed=31):
     pair_set = generate_pair_set("coord", 52, 0.08, count, seed=seed)
     return [(p.pattern, p.text) for p in pair_set]
+
+
+def _node_states():
+    return [
+        _NodeState(NodeHandle(name, f"http://127.0.0.1:{port}"))
+        for name, port in (("c", 3), ("a", 1), ("b", 2))
+    ]
 
 
 class TestConstruction:
@@ -126,9 +140,7 @@ class TestGracefulDegradation:
             config=DistConfig(
                 shard_size=2,
                 heartbeat_interval=0.05,
-                connect_timeout=0.2,
                 lease_timeout=0.5,
-                local_fallback_after=0.3,
             ),
         )
         outcome = coordinator.run(pairs)
@@ -137,37 +149,155 @@ class TestGracefulDegradation:
         assert outcome.nodes["ghost"]["alive"] is False
 
 
+class TestSharding:
+    def test_shards_are_contiguous_complete_and_capped(self, tmp_path):
+        pairs = _pairs(11)
+        journal_path = tmp_path / "dist.ckpt"
+        outcome = DistCoordinator(
+            FullGmxAligner(),
+            [],
+            config=DistConfig(shard_size=3),
+            checkpoint=str(journal_path),
+        ).run(pairs)
+        assert outcome.counters.shards == 4
+        # The journal keys every shard by the pair range it covers.
+        journal = CheckpointJournal(str(journal_path), {})
+        assert sorted(journal.entries) == [(0, 3), (3, 6), (6, 9), (9, 11)]
+
+    def test_uniform_batch_cuts_into_equal_shards(self, tmp_path):
+        pairs = _pairs(12)
+        journal_path = tmp_path / "dist.ckpt"
+        outcome = DistCoordinator(
+            FullGmxAligner(),
+            [],
+            config=DistConfig(shard_size=4),
+            checkpoint=str(journal_path),
+        ).run(pairs)
+        assert outcome.counters.shards == 3
+        journal = CheckpointJournal(str(journal_path), {})
+        assert sorted(journal.entries) == [(0, 4), (4, 8), (8, 12)]
+
+    def test_bad_shard_size_rejected_before_any_node_is_contacted(self):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            listener.settimeout(0.3)
+            url = "http://127.0.0.1:%d" % listener.getsockname()[1]
+            coordinator = DistCoordinator(
+                FullGmxAligner(),
+                [NodeHandle("n0", url)],
+                config=DistConfig(shard_size=0, heartbeat_interval=0.01),
+            )
+            with pytest.raises(ValueError, match="shard size must be positive"):
+                coordinator.run(_pairs(2))
+            with pytest.raises(socket.timeout):
+                listener.accept()  # no heartbeat and no shard ever connected
+
+    def test_empty_batch_returns_no_results(self):
+        outcome = DistCoordinator(
+            FullGmxAligner(), [NodeHandle("n0", "http://127.0.0.1:1")]
+        ).run([])
+        assert outcome.results == []
+        assert outcome.counters.shards == 0
+        assert outcome.counters.leases_granted == 0
+
+    def test_ready_shard_goes_to_the_node_with_fewest_leases(self):
+        states = _node_states()
+        by_name = {state.handle.name: state for state in states}
+        by_name["a"].leases = 1
+        assert _least_leased(states) is by_name["b"]
+        by_name["b"].leases = 1
+        by_name["c"].leases = 2
+        assert _least_leased(states) is by_name["a"]
+
+    def test_fresh_nodes_tie_break_by_name(self):
+        states = _node_states()
+        by_name = {state.handle.name: state for state in states}
+        assert _least_leased(states) is by_name["a"]
+
+    def test_no_node_is_chosen_when_every_node_is_at_its_lease_cap(self):
+        assert _least_leased([]) is None
+        states = _node_states()
+        for state in states:
+            state.leases = MAX_LEASES_PER_NODE
+        assert _least_leased(states) is None
+
+
+class TestDrain:
+    def test_no_dispatch_thread_outlives_run(self):
+        aligner = FullGmxAligner()
+        pairs = _pairs(4)
+        # Shard 0's first lease hangs past its deadline, so its zombie
+        # dispatcher is still waiting when the re-leased shard completes.
+        plan = NodeFaultPlan(
+            seed=0, faults=[NodeFault(kind="hang", shard=0, seconds=1.0)]
+        )
+        with running_worker(aligner, node="n0") as (_worker, url):
+            outcome = DistCoordinator(
+                aligner,
+                [NodeHandle("n0", url)],
+                config=DistConfig(
+                    shard_size=2, heartbeat_interval=0.1, lease_timeout=0.4
+                ),
+                fault_plan=plan,
+            ).run(pairs)
+            assert not [
+                thread
+                for thread in threading.enumerate()
+                if thread.name.startswith("repro-dist-dispatch-")
+            ]
+        assert outcome.results == align_batch(aligner, pairs).results
+        assert outcome.counters.leases_expired == 1
+        # The drain observed the zombie reply instead of dropping it.
+        assert outcome.counters.stale_discards == 1
+        assert [record.outcome for record in outcome.ledger] == [
+            "stale-discarded"
+        ]
+
+
+class _RecordingRun(_Run):
+    """A run that logs what it records and requeues."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.recorded = []
+        self.requeued = []
+
+    def record(self, shard_id, results, epoch, node):
+        self.recorded.append((epoch, node))
+        super().record(shard_id, results, epoch, node)
+
+    def requeue(self, lease, reason):
+        self.requeued.append((lease.epoch, reason))
+        super().requeue(lease, reason)
+
+
 class _EventHarness:
-    """Synthetic run-loop state for driving ``_handle_event`` directly."""
+    """One-shard run state for driving ``_Run.handle`` directly."""
 
     def __init__(self, aligner, pairs):
         self.coordinator = DistCoordinator(
-            aligner, [NodeHandle("n0", "http://127.0.0.1:1")]
+            aligner,
+            [NodeHandle("n0", "http://127.0.0.1:1")],
+            config=DistConfig(shard_size=len(pairs)),
         )
-        self.shard = PackedShard(
-            shard_id=0, lo=0, hi=len(pairs), pairs=pairs, cost=100
-        )
-        self.by_id = {0: self.shard}
-        self.checksums = {0: shard_checksum(pairs)}
-        self.epochs = {0: 1}
-        self.counters = DistCounters(shards=1)
-        self.telemetry = BatchTelemetry(
-            workers=1, shard_size=4, executor="dist"
-        )
-        self.results_by_shard = {}
-        self.recorded = []
-        self.requeued = []
-        state = self.coordinator.nodes["n0"]
-        state.leases = 1
-        state.outstanding_cost = self.shard.cost
+        self.run = _RecordingRun(self.coordinator, pairs, True)
+        self.run.epochs[0] = 1
+        self.coordinator.nodes["n0"].leases = 1
+        self.checksums = self.run.checksums
+        self.epochs = self.run.epochs
+        self.leases = self.run.leases
+        self.counters = self.run.counters
+        self.results_by_shard = self.run.results
+        self.recorded = self.run.recorded
+        self.requeued = self.run.requeued
 
     def lease(self, epoch):
-        now = time.monotonic()
         lease = _Lease(
             shard_id=0, epoch=epoch, node="n0",
-            deadline=now + 5.0, started=now, attempt=1,
+            deadline=time.monotonic() + 5.0,
         )
-        self.leases = {0: lease}
+        self.leases[0] = lease
         return lease
 
     def completion(self, epoch, *, results, checksum=None):
@@ -183,28 +313,7 @@ class _EventHarness:
         )
 
     def handle(self, event, *, draining=False):
-        self.coordinator._handle_event(
-            event,
-            self.by_id,
-            self.checksums,
-            self.epochs,
-            self.leases,
-            self.counters,
-            self.telemetry,
-            self.results_by_shard,
-            self._record,
-            self._requeue,
-            draining=draining,
-        )
-
-    def _record(self, shard, results, epoch, node):
-        self.results_by_shard[shard.shard_id] = results
-        self.recorded.append((epoch, node))
-
-    def _requeue(self, lease, reason):
-        self.requeued.append((lease.epoch, reason))
-        self.leases.pop(lease.shard_id, None)
-        self.epochs[lease.shard_id] += 1
+        self.run.handle(event, draining=draining)
 
 
 class TestLeaseEpochFencing:

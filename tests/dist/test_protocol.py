@@ -40,8 +40,6 @@ class TestShardRequest:
         request = ShardRequest(
             shard_id=4,
             epoch=2,
-            lo=8,
-            hi=10,
             pairs=PAIRS,
             traceback=False,
             fingerprint="abc123",
@@ -53,7 +51,7 @@ class TestShardRequest:
         assert parsed.pairs == PAIRS
 
     def test_fault_free_round_trip(self):
-        request = ShardRequest(shard_id=0, epoch=1, lo=0, hi=2, pairs=PAIRS)
+        request = ShardRequest(shard_id=0, epoch=1, pairs=PAIRS)
         parsed = ShardRequest.from_json(request.to_json())
         assert parsed.fault is None
         assert parsed.traceback is True

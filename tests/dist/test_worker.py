@@ -61,8 +61,6 @@ def _request(aligner, pairs, *, epoch=1, fingerprint=None):
     return ShardRequest(
         shard_id=0,
         epoch=epoch,
-        lo=0,
-        hi=len(pairs),
         pairs=pairs,
         fingerprint=(
             aligner_fingerprint(aligner) if fingerprint is None

@@ -85,11 +85,11 @@ class TestRetryPolicy:
         assert policy.delay(3, 1) == policy.delay(3, 1)
 
     def test_delay_grows_with_attempt(self):
-        policy = RetryPolicy(backoff_base=0.01, backoff_factor=2.0, jitter=0.0)
+        policy = RetryPolicy(backoff_base=0.01)
         assert policy.delay(0, 3) > policy.delay(0, 1)
 
     def test_distinct_keys_decorrelate(self):
-        policy = RetryPolicy(seed=5, jitter=0.5)
+        policy = RetryPolicy(seed=5)
         assert policy.delay(1, 1) != policy.delay(2, 1)
 
 

@@ -27,7 +27,6 @@ from repro.sim.cost_model import (
     predict_full_gmx,
     predict_genasm_cpu,
     predict_nw,
-    predict_pair_cost,
     predict_windowed_gmx,
 )
 
@@ -163,15 +162,3 @@ class TestScalePredictions:
         """§7.3 excludes Full(GMX) at 1 Mbp: >10 GB of edge state."""
         stats = predict_full_gmx(1_000_000, 1_000_000, traceback=True)
         assert stats.dp_bytes_peak > 10 * 2**30
-
-
-def test_pair_cost_prices_windowed_gmx_with_its_own_geometry():
-    """The dist packer's per-pair price of Windowed(GMX) is its predictor,
-    at the aligner's window, overlap and tile size, not the n·m fallback."""
-    aligner = WindowedGmxAligner(window=64, overlap=16, tile_size=16)
-    predicted = predict_windowed_gmx(
-        1_000, 1_000, window=64, overlap=16, tile_size=16
-    )
-    cost = predict_pair_cost(aligner, 1_000, 1_000)
-    assert cost == predicted.total_instructions
-    assert cost < 1_000 * 1_000 // 10

@@ -82,6 +82,20 @@ print("serve:", sorted(name for name in sys.modules if name.startswith("repro.se
     assert "serve: []" in child.stdout
 
 
+def test_dist_imports_no_sim_module():
+    """The coordinator cuts the batch engines' plain shards: no part of
+    the dist package needs the cost model or another simulator module."""
+    child = run_without_numpy(
+        """
+import repro.dist
+
+print("sim:", sorted(name for name in sys.modules if name.startswith("repro.sim")))
+"""
+    )
+    assert child.returncode == 0, child.stderr
+    assert "sim: []" in child.stdout
+
+
 def test_repro_help_runs_without_numpy():
     child = run_without_numpy(
         "import runpy; runpy.run_module('repro', run_name='__main__')", "--help"
